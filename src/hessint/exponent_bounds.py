@@ -28,8 +28,6 @@ from .special_functions import lambert_w0, lambert_wm1
 
 _SQRT5 = math.sqrt(5.0)
 _COARSE_POINTS = 1000
-_GOLDEN_ITERS = 200
-_INVPHI = (_SQRT5 - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -165,50 +163,23 @@ def epsilon_interior(e: Ellipticity) -> tuple[float, float, float]:
             f"coarse scan put the maximum at the boundary (gamma={gammas[i]:.3g}); "
             "cannot bracket an interior maximizer"
         )
-    a, b = gammas[i - 1], gammas[i + 1]
-
-    # golden-section refinement of the bracket
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = phi(x1, c, n), phi(x2, c, n)
-    for _ in range(_GOLDEN_ITERS):
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            if x1 == x2:
-                break
-            f1 = phi(x1, c, n)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            if x2 == x1:
-                break
-            f2 = phi(x2, c, n)
-    gamma0 = 0.5 * (a + b)
-
-    # polish: bisect the stationarity gap, which changes sign across the max
-    w = max(1e-7, 4.0 * (b - a))
-    lo = max(gamma0 - w, 1e-12)
-    hi = min(gamma0 + w, 1.0 - 1e-12)
-    glo, ghi = _stationarity_gap(lo, c, n), _stationarity_gap(hi, c, n)
-    for _ in range(8):
-        if glo * ghi < 0.0:
+    # the gap is positive left of the maximizer and negative right of it;
+    # bisect it on the scan bracket down to adjacent floats
+    lo, hi = gammas[i - 1], gammas[i + 1]
+    if not (_stationarity_gap(lo, c, n) > 0.0 > _stationarity_gap(hi, c, n)):
+        raise OptimizationError(
+            f"stationarity gap does not change sign from + to - on the scan bracket "
+            f"[{lo:.17g}, {hi:.17g}]"
+        )
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
             break
-        w *= 8.0
-        lo = max(gamma0 - w, 1e-12)
-        hi = min(gamma0 + w, 1.0 - 1e-12)
-        glo, ghi = _stationarity_gap(lo, c, n), _stationarity_gap(hi, c, n)
-    if glo * ghi < 0.0:
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            gm = _stationarity_gap(mid, c, n)
-            if (gm > 0.0) == (glo > 0.0):
-                lo, glo = mid, gm
-            else:
-                hi = mid
-        gamma0 = 0.5 * (lo + hi)
+        if _stationarity_gap(mid, c, n) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    gamma0 = 0.5 * (lo + hi)
 
     eps = phi(gamma0, c, n)
     residual = abs(_stationarity_gap(gamma0, c, n))

@@ -56,7 +56,7 @@ def _halley(w: float, z: float) -> tuple[float, bool]:
     for _ in range(_MAX_HALLEY):
         ew = math.exp(w)
         f = w * ew - z
-        if abs(f) <= 1e-14 * max(1.0, abs(z)):
+        if abs(f) <= 1e-14 * abs(z):
             return w, True
         wp1 = w + 1.0
         if abs(wp1) < 1e-12:
@@ -190,12 +190,6 @@ def _log_newton(L: float) -> float:
     return w
 
 
-def _wm1_tail(u: float) -> float:
-    # W-1(-e^{-(u+1)}) through the log-space equation; used when the argument
-    # -e^{-(u+1)} underflows to zero
-    return _log_newton(-(u + 1.0))
-
-
 def ratio_a(u: float) -> float:
     """Bracket sharpness ratio a(u) = -W-1(-e^{-(u+1)})/(u+1) for u >= 0.
 
@@ -206,5 +200,6 @@ def ratio_a(u: float) -> float:
         raise DomainError(f"ratio_a requires u >= 0, got {u}")
     z = -math.exp(-(u + 1.0))
     if z == 0.0:
-        return -_wm1_tail(u) / (u + 1.0)
+        # the argument underflowed; solve for W-1 in log space instead
+        return -_log_newton(-(u + 1.0)) / (u + 1.0)
     return -lambert_wm1(z).value / (u + 1.0)

@@ -230,10 +230,28 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert "wavelength" in err
 
 
-def test_threads_flag_accepted(capsys):
-    code, _, _ = run_cli(capsys, "bounds", "--n", "3", "--ratio", "2",
-                         "--threads", "4", "--reproducible")
+@pytest.mark.parametrize("config, argv, ks", [
+    ({"k": 2}, ["bounds", "--n", "5", "--ratio", "2"], [2]),
+    ({"k": 2}, ["bounds", "--n", "5", "--ratio", "2", "--k", "3"], [3]),
+    ({"k_rule": "half"}, ["sweep", "--n-range", "6:8", "--ratios", "2"], [2, 2, 3]),
+], ids=["config-over-default", "flag-over-config", "config-k-rule"])
+def test_config_precedence(tmp_path, capsys, config, argv, ks):
+    # flag > config > built-in default
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, _ = run_cli(capsys, *argv, "--config", str(cfg), "--reproducible")
     assert code == 0
+    _, rows = parse_csv(out)
+    assert [int(r["k"]) for r in rows] == ks
+
+
+def test_config_rejects_unknown_k_rule(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"k_rule": "all"}))
+    code, _, err = run_cli(capsys, "sweep", "--n-range", "6", "--ratios", "2",
+                           "--config", str(cfg))
+    assert code == 2
+    assert "k_rule" in err
 
 
 def test_module_entry_point():

@@ -104,6 +104,22 @@ def test_load_errors(tmp_path):
     with pytest.raises(h.GridFormatError):
         h.GridFunction.load(p4)
 
+    # sidecars that exist with the right size, but are not a bare filename
+    # next to the header
+    np.zeros(5).tofile(tmp_path / "data.bin")
+    (tmp_path / "sub").mkdir()
+    np.zeros(5).tofile(tmp_path / "sub" / "dir.bin")
+    (tmp_path / "hdr").mkdir()
+    for where, payload in ((tmp_path, str(tmp_path / "data.bin")),
+                           (tmp_path / "hdr", "../data.bin"),
+                           (tmp_path, "sub/dir.bin")):
+        broken = dict(header)
+        broken["payload"] = payload
+        p6 = where / "pathed.json"
+        p6.write_text(json.dumps(broken))
+        with pytest.raises(h.GridFormatError, match="bare filename"):
+            h.GridFunction.load(p6)
+
     p5 = tmp_path / "notjson.json"
     p5.write_text("{nope")
     with pytest.raises(h.GridFormatError):

@@ -76,6 +76,14 @@ def test_epsilon_interior_unit_ratio_degenerates():
     assert (gamma0, eps, resid) == (1.0, 1.0, 0.0)
 
 
+def test_epsilon_interior_refuses_unbracketed_gap(monkeypatch):
+    # a gap without the + to - sign change on the scan bracket is an error,
+    # never an unchecked maximizer
+    monkeypatch.setattr(h.exponent_bounds, "_stationarity_gap", lambda g, c, n: 1.0)
+    with pytest.raises(h.OptimizationError, match="does not change sign"):
+        h.epsilon_interior(E321)
+
+
 def test_gamma_star_satisfies_stationarity():
     # argmax of gamma^n / (-log(1-gamma)) solves n (1-g) log(1-g) + g = 0
     for n in [2, 3, 5, 12, 50]:

@@ -54,6 +54,15 @@ def test_w0_against_bisection():
         assert abs(w - lambert_bisect(float(z), 0)) <= 1e-12 * max(1.0, abs(w))
 
 
+def test_w0_relative_accuracy_for_small_arguments():
+    # W0(z) ~ z here, so an absolute residual test alone would allow ~1e-12
+    # relative error
+    zs = np.geomspace(1e-3, 1e-2, 100)
+    for z in np.concatenate([zs, -zs]):
+        w = h.lambert_w0(float(z)).value
+        assert abs(w - lambert_bisect(float(z), 0)) <= 1e-13 * abs(w), z
+
+
 def test_wm1_against_bisection():
     for z in -np.geomspace(1e-30, 1.0 / math.e - 1e-9, 80):
         w = h.lambert_wm1(float(z)).value
