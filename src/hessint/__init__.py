@@ -25,8 +25,7 @@ from .exponent_bounds import (Ellipticity, ExponentReport, T0Result,
 from .envelope_lab import (DecayReport, EnvelopeResult, GridFunction,
                            TailDistribution, ThetaField, a_convex_envelope,
                            convex_envelope, decay_experiment,
-                           default_contact_tolerance, grid_from_callable,
-                           tail_distribution, theta_field)
+                           grid_from_callable, tail_distribution, theta_field)
 from .counterexample import (DivergenceScan, RadialProfile, build_v,
                              divergence_scan, hessian_eigenvalues,
                              lattice_admissible_radius, lattice_ball_count,
@@ -46,8 +45,7 @@ __all__ = [
     "refined_lower", "rho_for_beta", "tau", "t0_maximizer", "thresholds",
     "DecayReport", "EnvelopeResult", "GridFunction", "TailDistribution",
     "ThetaField", "a_convex_envelope", "convex_envelope", "decay_experiment",
-    "default_contact_tolerance", "grid_from_callable", "tail_distribution",
-    "theta_field",
+    "grid_from_callable", "tail_distribution", "theta_field",
     "DivergenceScan", "RadialProfile", "build_v", "divergence_scan",
     "hessian_eigenvalues", "lattice_admissible_radius", "lattice_ball_count",
     "lp_lower_bound", "pucci_minus", "theta_lower", "u_value",

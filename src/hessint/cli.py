@@ -101,8 +101,6 @@ def cmd_bounds(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     p = cfg.parameters
-    if p["k_rule"] not in ("one", "half"):
-        raise DomainError(f"k_rule must be 'one' or 'half', got {p['k_rule']!r}")
     rows = []
     for n in _parse_range(p["n_range"]):
         for ratio in _parse_floats(p["ratios"]):
@@ -233,12 +231,14 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="suppress the timestamp for byte-identical reruns")
     sub.add_argument("--config", default=None,
                      help="JSON file of parameter values; flags win")
+    sub.set_defaults(actions={a.dest: a for a in sub._actions})
 
 
 def build_parser() -> argparse.ArgumentParser:
     # An optional parameter is declared with default=SUPPRESS, so an unset flag
     # stays out of the namespace; its built-in default goes under the "builtin"
     # key and is applied only after the --config file (flag > config > default).
+    # "actions" maps each dest to its action, whose type and choices check --config.
     ap = argparse.ArgumentParser(
         prog="hessint",
         description="Hessian integrability exponent bounds and grid experiments",
@@ -304,7 +304,19 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_COMMON_KEYS = {"output", "format", "reproducible", "config", "command", "builtin"}
+_COMMON_KEYS = {"output", "format", "reproducible", "config", "command", "builtin", "actions"}
+
+
+def _config_value(action: argparse.Action, value):
+    """A --config value converted and checked as the same text given to its flag."""
+    text = value if isinstance(value, str) else json.dumps(value)
+    try:
+        out = action.type(text) if action.type else text
+        if action.choices is not None and out not in action.choices:
+            raise ValueError
+    except ValueError:
+        raise DomainError(f"config value {value!r} is not a valid {action.dest}") from None
+    return out
 
 
 def _make_config(args: argparse.Namespace) -> RunConfig:
@@ -317,7 +329,7 @@ def _make_config(args: argparse.Namespace) -> RunConfig:
         unknown = set(loaded) - set(params) - set(flags)
         if unknown:
             raise DomainError(f"config contains unknown keys: {sorted(unknown)}")
-        params.update(loaded)
+        params.update({k: _config_value(args.actions[k], v) for k, v in loaded.items()})
     params.update(flags)
     if args.command == "t0" and params.get("ratio") is None and params.get("beta") is None:
         raise DomainError("t0 requires --ratio or --beta")

@@ -178,14 +178,13 @@ def build_v(p: RadialProfile, grid: GridFunction) -> GridFunction:
     if grid.domain_radius < 1.0 - 1e-12:
         raise GeometryError("grid must cover the unit ball")
 
-    pts = grid.points()
+    pts, _, inside = grid._coords()
     y = np.round(pts / (2.0 * p.R))
     offsets = pts - 2.0 * p.R * y
     r = np.sqrt((offsets ** 2).sum(axis=1))
     scale = p.lam / (p.Lam * p.alpha)
     bump = np.minimum(_TRUNCATION_CAP, scale * _u_profile(p, r))
     vals = -(pts ** 2).sum(axis=1) + bump
-    inside = grid.inside_mask().ravel()
     vals = np.where(inside, vals, np.nan)
 
     sup_abs = float(np.nanmax(np.abs(vals)))

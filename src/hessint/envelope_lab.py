@@ -8,6 +8,10 @@ set (where the envelope touches v) drives two experiments: the measure-decay
 iteration in the opening, and the pointwise minimal opening Theta whose
 super-level sets give the Hessian integrability tail.
 
+Theta, the envelope's contact mask and the decay counts share one contact
+test: the lifted sample is a vertex of a downward facet of the lower hull.
+Samples strictly inside a flat facet touch yet count as contact only at larger a.
+
 The convex envelope of the discrete point cloud is computed exactly: the
 sampled points are lifted to graph space, qhull builds their convex hull, and
 the envelope at every sample is the maximum over the supporting planes of the
@@ -200,12 +204,11 @@ def grid_from_callable(f, dim: int, points_per_axis: int, domain_radius: float =
 
 @dataclass
 class EnvelopeResult:
-    """Envelope values, contact mask, and the tolerance that defined contact."""
+    """Envelope values and the contact mask at one opening."""
 
     opening: float
     envelope: np.ndarray
     contact_mask: np.ndarray
-    tolerance_used: float
 
 
 @dataclass
@@ -324,11 +327,14 @@ def _hull_envelope_1d(x: np.ndarray, y: np.ndarray, need_values: bool):
     return env, on_hull
 
 
-def _envelope_inside(grid: GridFunction, lifted_inside: np.ndarray,
-                     points_inside: np.ndarray, need_values: bool):
-    if grid.dim == 1:
-        return _hull_envelope_1d(points_inside[:, 0], lifted_inside, need_values)
-    return _hull_envelope(points_inside, lifted_inside, need_values)
+def _contact(points: np.ndarray, values: np.ndarray, a: float, need_values: bool):
+    """Lower hull of values + (a/2)|x|^2: (a-convex envelope or None, contact mask)."""
+    shift = 0.5 * a * (points ** 2).sum(axis=1)
+    if points.shape[1] == 1:
+        env, on_hull = _hull_envelope_1d(points[:, 0], values + shift, need_values)
+    else:
+        env, on_hull = _hull_envelope(points, values + shift, need_values)
+    return (None if env is None else env - shift), on_hull
 
 
 def convex_envelope(w: GridFunction) -> GridFunction:
@@ -338,47 +344,32 @@ def convex_envelope(w: GridFunction) -> GridFunction:
     idempotent and equals w for convex data. Samples outside the ball stay NaN.
     """
     pts, _, inside = w._coords()
-    pts = pts[inside]
-    vals = w.values.ravel()[inside]
-    env_in, _ = _envelope_inside(w, vals, pts, need_values=True)
+    env_in, _ = _contact(pts[inside], w.values.ravel()[inside], 0.0, need_values=True)
     out = np.full(w.values.size, np.nan)
     out[inside] = env_in
     return GridFunction(dim=w.dim, shape=w.shape, spacing=w.spacing, center=w.center,
                         domain_radius=w.domain_radius, values=out.reshape(w.shape))
 
 
-def default_contact_tolerance(grid: GridFunction, opening: float) -> float:
-    """Discrete-tangency slack 10 h^2 (opening + 1)."""
-    return 10.0 * grid.spacing ** 2 * (opening + 1.0)
-
-
-def a_convex_envelope(v: GridFunction, a: float,
-                      tol: float | None = None) -> EnvelopeResult:
+def a_convex_envelope(v: GridFunction, a: float) -> EnvelopeResult:
     """Envelope by paraboloids of opening -a and its contact set.
 
     Uses the shift identity: the a-convex envelope equals the convex envelope
-    of v + (a/2)|x|^2 minus (a/2)|x|^2. Contact holds where v exceeds its
-    envelope by at most tol (default 10 h^2 (a+1)).
+    of v + (a/2)|x|^2 minus (a/2)|x|^2. Contact is the module's hull-vertex test.
     """
     if not (a >= 0.0 and math.isfinite(a)):
         raise DomainError(f"opening must be finite and >= 0, got {a}")
-    if tol is None:
-        tol = default_contact_tolerance(v, a)
     pts, _, inside = v._coords()
-    pts = pts[inside]
-    shift = 0.5 * a * (pts ** 2).sum(axis=1)
-    lifted = v.values.ravel()[inside] + shift
-    env_in, on_hull = _envelope_inside(v, lifted, pts, need_values=True)
+    env_in, on_hull = _contact(pts[inside], v.values.ravel()[inside], a, need_values=True)
 
     envelope = np.full(v.values.size, np.nan)
-    envelope[inside] = env_in - shift
+    envelope[inside] = env_in
     contact = np.zeros(v.values.size, dtype=bool)
-    contact[inside] = (lifted - env_in <= tol) | on_hull
+    contact[inside] = on_hull
     return EnvelopeResult(
         opening=float(a),
         envelope=envelope.reshape(v.shape),
         contact_mask=contact.reshape(v.shape),
-        tolerance_used=float(tol),
     )
 
 
@@ -386,10 +377,10 @@ def theta_field(v: GridFunction, a_max: float, bisect_tol: float) -> ThetaField:
     """Minimal contact opening per point by bisection over [0, a_max].
 
     A point is in the contact set of opening a exactly when its lifted sample
-    lies on the lower convex hull of v + (a/2)|x|^2, so each probe asks qhull
-    for the downward-facet vertices; probes are shared across points whose
-    brackets coincide. Points without contact even at a_max get theta = a_max
-    and converged False.
+    is a vertex of a downward facet of the lower hull of v + (a/2)|x|^2, so
+    each probe asks qhull for those vertices; probes are shared across points
+    whose brackets coincide. Points without contact even at a_max get
+    theta = a_max and converged False.
     """
     if not (a_max > 0.0 and math.isfinite(a_max)):
         raise DomainError(f"a_max must be positive, got {a_max}")
@@ -398,27 +389,21 @@ def theta_field(v: GridFunction, a_max: float, bisect_tol: float) -> ThetaField:
 
     pts, d2, inside = v._coords()
     pts = pts[inside]
-    sq = (pts ** 2).sum(axis=1)
     base = v.values.ravel()[inside]
     n_in = len(base)
 
-    def contact_at(a: float) -> np.ndarray:
-        _, on_hull = _envelope_inside(v, base + 0.5 * a * sq, pts, need_values=False)
-        return on_hull
-
-    top = contact_at(a_max)
+    top = _contact(pts, base, a_max, need_values=False)[1]
     lo = np.zeros(n_in)
     hi = np.full(n_in, float(a_max))
     steps = max(1, math.ceil(math.log2(a_max / bisect_tol)))
-    active_base = top.copy()
     for _ in range(steps):
-        active = active_base & (hi - lo > bisect_tol)
+        active = top & (hi - lo > bisect_tol)
         if not active.any():
             break
         mids = 0.5 * (lo + hi)
         for m in np.unique(mids[active]):
             group = active & (mids == m)
-            mask = contact_at(float(m))
+            mask = _contact(pts, base, float(m), need_values=False)[1]
             got = mask & group
             hi[got] = m
             lo[group & ~mask] = m
@@ -481,8 +466,9 @@ def decay_experiment(v: GridFunction, delta: float, levels: int,
     """Non-contact measure along openings (1+delta)^j, j = 0..levels.
 
     counts[j] is the grid-cell measure of the ball minus the contact set at
-    opening (1+delta)^j; the least-squares geometric decay factor of the
-    nonzero counts is compared with the guaranteed 1 - c*(1+1/delta)^-n.
+    opening (1+delta)^j (the module's hull-vertex test); the least-squares
+    geometric decay factor of the nonzero counts is compared with the
+    guaranteed 1 - c*(1+1/delta)^-n.
     Raises DegenerateData (carrying the partial report) when fewer than 3
     counts are nonzero.
     """
@@ -492,11 +478,13 @@ def decay_experiment(v: GridFunction, delta: float, levels: int,
         raise DomainError(f"levels must be an integer >= 2, got {levels}")
 
     openings = (1.0 + delta) ** np.arange(levels + 1)
-    inside = v.inside_mask()
+    pts, _, inside = v._coords()
+    pts = pts[inside]
+    base = v.values.ravel()[inside]
     counts = np.empty(levels + 1)
     for j, a in enumerate(openings):
-        res = a_convex_envelope(v, float(a))
-        counts[j] = (inside & ~res.contact_mask).sum() * v.cell_measure
+        on_hull = _contact(pts, base, float(a), need_values=False)[1]
+        counts[j] = (~on_hull).sum() * v.cell_measure
 
     theoretical = 1.0 - c_star(e) * (1.0 + 1.0 / delta) ** (-e.n)
     nz = counts > 0

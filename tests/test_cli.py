@@ -254,6 +254,18 @@ def test_config_rejects_unknown_k_rule(tmp_path, capsys):
     assert "k_rule" in err
 
 
+def test_config_value_gets_its_flag_type(tmp_path, capsys):
+    # the flag's float type applies to the config value too: exit 2, not a TypeError
+    grid_path = tmp_path / "g.json"
+    h.grid_from_callable(lambda p: -(p ** 2).sum(axis=1), 2, 9, domain_radius=1.0).save(grid_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"restrict_radius": "half"}))
+    code, _, err = run_cli(capsys, "theta", "--input", str(grid_path), "--a-max", "4",
+                           "--bisect-tol", "1", "--config", str(cfg))
+    assert code == 2
+    assert "restrict_radius" in err
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "hessint.cli", "bounds", "--n", "3", "--ratio", "2",

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 import hessint as h
 from _oracles import (CertificateError, envelope_1d_bruteforce, envelope_certificates,
@@ -15,6 +16,12 @@ def ridge_1d(points_per_axis=101):
     return h.grid_from_callable(
         lambda p: np.abs(p[:, 0]) - 0.8 * (p ** 2).sum(axis=1) + 0.3 * np.sin(5.0 * p[:, 0]),
         1, points_per_axis, domain_radius=1.0)
+
+
+def ridge_2d(points_per_axis=29):
+    return h.grid_from_callable(
+        lambda p: np.abs(p[:, 0]) - 0.5 * (p ** 2).sum(axis=1) + 0.2 * np.cos(6 * p[:, 1]),
+        2, points_per_axis, domain_radius=1.0)
 
 
 def test_gridfunction_validation():
@@ -224,7 +231,6 @@ def test_a_convex_envelope_of_zero():
     assert np.abs(res.envelope[inside]).max() <= 1e-10
     assert res.contact_mask[inside].all()
     assert res.opening == 3.0
-    assert res.tolerance_used == h.default_contact_tolerance(g, 3.0)
 
 
 def test_a_convex_envelope_paraboloid_thresholds():
@@ -244,19 +250,40 @@ def test_a_convex_envelope_paraboloid_thresholds():
     assert r[touched].min() >= 0.9  # contact survives only near the boundary ring
 
 
-def test_contact_mask_biconditional():
-    g = ridge_1d(81)
-    for a in (0.5, 2.0, 7.0):
-        res = h.a_convex_envelope(g, a)
+def test_contact_mask_matches_oracle_gap():
+    # contact is exactly {lifted - L <= 1e-9 scale}, L an oracle envelope of the lift;
+    # the openings are non-critical (no flat facet), so the off-hull gaps are >= 2e-4
+    for g in (ridge_1d(81), ridge_2d()):
         inside = g.inside_mask()
-        gap = g.values[inside] - res.envelope[inside]
-        assert np.array_equal(res.contact_mask[inside], gap <= res.tolerance_used)
+        pts = g.points()[inside.ravel()]
+        for a in (0.5, 2.0, 7.0):
+            lifted = g.values[inside] + 0.5 * a * (pts ** 2).sum(axis=1)
+            if g.dim == 1:
+                lower = envelope_1d_bruteforce(pts[:, 0], lifted)
+            else:
+                lower, _ = envelope_certificates(pts, lifted)
+            scale = max(1.0, float(np.abs(lifted).max()))
+            contact = h.a_convex_envelope(g, a).contact_mask[inside]
+            assert np.array_equal(contact, lifted - lower <= 1e-9 * scale)
+            assert 0 < contact.sum() < len(contact)
+
+
+def test_contact_mask_agrees_with_theta_brackets():
+    # Theta and the contact mask share one predicate, and contact only grows with a
+    for g in (ridge_1d(81), ridge_2d()):
+        inside = g.inside_mask()
+        tf = h.theta_field(g, a_max=6.0, bisect_tol=0.05)
+        conv = tf.converged & inside
+        assert conv.any() and (inside & ~tf.converged).any()
+        for a in (0.3, 1.0, 2.5, 4.0, 6.0):
+            contact = h.a_convex_envelope(g, a).contact_mask
+            assert contact[conv & (tf.bracket_hi <= a)].all()
+            assert not contact[conv & (tf.bracket_lo > 0.0) & (tf.bracket_lo >= a)].any()
+            assert not contact[inside & ~tf.converged].any()
 
 
 def test_envelope_ordering_in_opening():
-    for g in (ridge_1d(), h.grid_from_callable(
-            lambda p: np.abs(p[:, 0]) - 0.5 * (p ** 2).sum(axis=1) + 0.2 * np.cos(6 * p[:, 1]),
-            2, 29, domain_radius=1.0)):
+    for g in (ridge_1d(), ridge_2d()):
         inside = g.inside_mask()
         prev = None
         for a in (0.5, 2.0, 8.0):
@@ -400,6 +427,21 @@ def test_decay_paraboloid_crossing():
     assert (rep.counts[4:] == 0.0).all()  # openings >= a0 reach contact everywhere
     assert rep.counts[0] >= 0.9 * np.pi
     assert abs(rep.theoretical_ratio - (1.0 - h.c_star(h.Ellipticity(2, 2.0, 1)) / 4.0)) <= 1e-15
+
+
+def test_decay_truncated_paraboloid_plateau():
+    # max(-8|x|^2, -1): no paraboloid of opening below 16 touches the core v > -1
+    g = h.grid_from_callable(lambda p: np.maximum(-8.0 * (p ** 2).sum(axis=1), -1.0),
+                             2, 65, domain_radius=1.0)
+    inside = g.inside_mask()
+    core = inside & (g.values > -1.0)
+    assert core.sum() == 401
+    counts = h.decay_experiment(g, 1.0, 6, h.Ellipticity(3, 2.0, 1)).counts / g.cell_measure
+    assert (counts[:4] == core.sum()).all()          # openings 1, 2, 4, 8
+    # at 16 the core lifts to one flat facet: only its corners are hull vertices
+    corners = len(ConvexHull(g.points()[core.ravel()]).vertices)
+    assert counts[4] == core.sum() - corners
+    assert (counts[5:] == 0).all()                   # openings 32, 64
 
 
 def test_decay_bump_family_beats_lemma_rate(bump_grid):
