@@ -26,7 +26,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -381,6 +384,13 @@ def theta_field(v: GridFunction, a_max: float, bisect_tol: float) -> ThetaField:
     each probe asks qhull for those vertices; probes are shared across points
     whose brackets coincide. Points without contact even at a_max get
     theta = a_max and converged False.
+
+    The probes of one bisection level are independent (each has its own
+    opening and updates only its own points), and qhull releases the GIL, so
+    with more than one usable CPU the calling thread builds every other
+    probe's hull and one worker thread builds the rest; the masks are applied
+    in increasing opening, so the result is the serial one. One worker, not
+    one per CPU: every thread that builds hulls keeps its own malloc arena.
     """
     if not (a_max > 0.0 and math.isfinite(a_max)):
         raise DomainError(f"a_max must be positive, got {a_max}")
@@ -392,21 +402,31 @@ def theta_field(v: GridFunction, a_max: float, bisect_tol: float) -> ThetaField:
     base = v.values.ravel()[inside]
     n_in = len(base)
 
+    def probes(openings):
+        return [_contact(pts, base, float(m), need_values=False)[1] for m in openings]
+
     top = _contact(pts, base, a_max, need_values=False)[1]
     lo = np.zeros(n_in)
     hi = np.full(n_in, float(a_max))
     steps = max(1, math.ceil(math.log2(a_max / bisect_tol)))
-    for _ in range(steps):
-        active = top & (hi - lo > bisect_tol)
-        if not active.any():
-            break
-        mids = 0.5 * (lo + hi)
-        for m in np.unique(mids[active]):
-            group = active & (mids == m)
-            mask = _contact(pts, base, float(m), need_values=False)[1]
-            got = mask & group
-            hi[got] = m
-            lo[group & ~mask] = m
+    with ThreadPoolExecutor(max_workers=1) if _usable_cpus() > 1 else nullcontext() as pool:
+        for _ in range(steps):
+            active = top & (hi - lo > bisect_tol)
+            if not active.any():
+                break
+            mids = 0.5 * (lo + hi)
+            ms = np.unique(mids[active])
+            if pool is None:
+                masks = probes(ms)
+            else:
+                odd = pool.submit(probes, ms[1::2])
+                masks = [None] * len(ms)
+                masks[0::2] = probes(ms[0::2])
+                masks[1::2] = odd.result()
+            for m, mask in zip(ms, masks):
+                group = active & (mids == m)
+                hi[mask & group] = m
+                lo[group & ~mask] = m
     theta = np.where(top, hi, a_max)
 
     def expand(arr_inside, fill, dtype):
@@ -424,6 +444,12 @@ def theta_field(v: GridFunction, a_max: float, bisect_tol: float) -> ThetaField:
         interior=interior.reshape(v.shape),
         grid=v,
     )
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def tail_distribution(theta: ThetaField, restrict_radius: float,

@@ -28,6 +28,7 @@ from .special_functions import lambert_w0, lambert_wm1
 
 _SQRT5 = math.sqrt(5.0)
 _COARSE_POINTS = 1000
+_NEAR_ONE_POINTS = 4000
 
 
 @dataclass(frozen=True)
@@ -149,6 +150,14 @@ def epsilon_interior(e: Ellipticity) -> tuple[float, float, float]:
     At rho = 1 the constant is c = 1 and phi increases to its supremum 1 as
     gamma -> 1-; the limiting triple (1.0, 1.0, 0.0) is returned since the
     stationarity identity holds in that limit.
+
+    A linear scan of gamma brackets the maximizer, then the stationarity gap
+    is bisected down to adjacent floats. When the scan's maximum is its last
+    point (rho close to 1), 1 - gamma is rescanned on a geometric grid down to
+    2^-53. Raises OptimizationError when no scan brackets a sign change of
+    the gap; for 3 <= n <= 40 that happens for some n once rho - 1 is below
+    about 5e-14, where 1 - c*gamma^n near the maximizer is of size rho - 1
+    and its rounding error decides the gap's sign.
     """
     c = c_star(e)
     n = e.n
@@ -158,7 +167,13 @@ def epsilon_interior(e: Ellipticity) -> tuple[float, float, float]:
     gammas = np.linspace(1e-9, 1.0 - 1e-9, _COARSE_POINTS)
     vals = np.log1p(-c * gammas ** n) / np.log1p(-gammas)
     i = int(np.argmax(vals))
-    if i == 0 or i == _COARSE_POINTS - 1:
+    if i == _COARSE_POINTS - 1:
+        # as c -> 1 the maximizer moves inside the last linear cell: rescan
+        # 1 - gamma geometrically from that cell down to 2^-53
+        gammas = 1.0 - np.geomspace(1.0 - gammas[-2], 2.0 ** -53, _NEAR_ONE_POINTS)
+        vals = np.log1p(-c * gammas ** n) / np.log1p(-gammas)
+        i = int(np.argmax(vals))
+    if i == 0 or i == len(gammas) - 1:
         raise OptimizationError(
             f"coarse scan put the maximum at the boundary (gamma={gammas[i]:.3g}); "
             "cannot bracket an interior maximizer"

@@ -1,13 +1,17 @@
 import json
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, QhullError
 
 import hessint as h
+import hessint.envelope_lab as lab
 from _oracles import (CertificateError, envelope_1d_bruteforce, envelope_certificates,
                       lp_envelope)
+from conftest import bump_slice
 
 RNG = np.random.default_rng(20260819)
 
@@ -364,6 +368,80 @@ def test_theta_boundary_flagged_not_interior():
     assert near_edge.any()
     assert not tf.interior[near_edge].any()
     assert np.isfinite(tf.theta[near_edge]).all()
+
+
+def _assert_same_theta(a, b):
+    for name in ("theta", "bracket_lo", "bracket_hi", "converged"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert np.array_equal(x, y, equal_nan=x.dtype.kind == "f"), name
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(lab.os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+@pytest.fixture(scope="module")
+def bump33():
+    return bump_slice(h.RadialProfile(3, 1.0, 0.35, 1.0, 2.0), 33)
+
+
+def test_theta_concurrent_probes_match_serial(bump33, monkeypatch):
+    # each bisection level's probes run on the caller and one worker thread;
+    # the field must equal the one-CPU serial run bit for bit
+    with monkeypatch.context() as mp:
+        _cpus(mp, 1)
+        serial = h.theta_field(bump33, a_max=600.0, bisect_tol=0.25)
+    _cpus(monkeypatch, 2)
+    threads = []
+
+    def hull(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return ConvexHull(*args, **kwargs)
+    monkeypatch.setattr(lab, "ConvexHull", hull)
+    paired = h.theta_field(bump33, a_max=600.0, bisect_tol=0.25)
+    _assert_same_theta(paired, serial)
+    assert len(set(threads)) == 2
+
+
+def test_theta_worker_probe_error_propagates(bump33, monkeypatch):
+    # the first opening the worker thread probes raises; later probes succeed
+    boom = RuntimeError("qhull failed at one opening")
+    caller = threading.get_ident()
+    worker_calls = []
+
+    def hull(cloud, qhull_options=None):
+        if threading.get_ident() != caller:
+            worker_calls.append(cloud)
+            if len(worker_calls) == 1:
+                raise boom
+        return ConvexHull(cloud, qhull_options=qhull_options)
+    monkeypatch.setattr(lab, "ConvexHull", hull)
+    _cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError) as info:
+        h.theta_field(bump33, a_max=600.0, bisect_tol=0.25)
+    assert info.value is boom
+
+
+def test_theta_joggled_fallback_is_deterministic(monkeypatch):
+    # force the QJ branch of the hull: qhull's joggle seed is fixed, so two
+    # concurrent runs and a serial one agree bit for bit
+    g = ridge_2d(17)
+
+    def hull(cloud, qhull_options=None):
+        if qhull_options is None:
+            raise QhullError("forced")
+        return ConvexHull(cloud, qhull_options=qhull_options)
+    monkeypatch.setattr(lab, "ConvexHull", hull)
+    with monkeypatch.context() as mp:
+        _cpus(mp, 1)
+        serial = h.theta_field(g, a_max=6.0, bisect_tol=0.05)
+    _cpus(monkeypatch, 2)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        runs = [pool.submit(h.theta_field, g, 6.0, 0.05) for _ in range(2)]
+        for run in runs:
+            _assert_same_theta(run.result(), serial)
+    assert serial.converged.any()
 
 
 def test_tail_step_function():

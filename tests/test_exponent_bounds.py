@@ -84,6 +84,25 @@ def test_epsilon_interior_refuses_unbracketed_gap(monkeypatch):
         h.epsilon_interior(E321)
 
 
+@pytest.mark.parametrize("n", [3, 10, 40])
+@pytest.mark.parametrize("excess", [1e-5, 1e-8, 1e-12])
+def test_epsilon_interior_ratio_near_one(n, excess):
+    # as rho -> 1 the maximizer leaves the linear scan's last cell; it must
+    # still be found, and beat phi on a dense geometric grid of 1 - gamma
+    e = h.Ellipticity(n, 1.0 + excess, 1)
+    gamma0, eps, _ = h.epsilon_interior(e)
+    assert 0.0 < gamma0 < 1.0
+    c = h.c_star(e)
+    gammas = 1.0 - np.geomspace(0.5, 2.0 ** -53, 200_001)
+    vals = np.log1p(-c * gammas ** n) / np.log1p(-gammas)
+    g = gammas[vals.argmax()]
+    # phi's own rounding error at the scan's best point: a few ulps of 1 in
+    # 1 - c*g^n, relative to 1 - c*g^n and divided by -log(1 - g)
+    noise = (n + 2) * 2.0 ** -53 / ((1.0 - c * g ** n) * -math.log1p(-g))
+    assert eps == h.phi(gamma0, c, n)
+    assert eps >= vals.max() - noise
+
+
 def test_gamma_star_satisfies_stationarity():
     # argmax of gamma^n / (-log(1-gamma)) solves n (1-g) log(1-g) + g = 0
     for n in [2, 3, 5, 12, 50]:
