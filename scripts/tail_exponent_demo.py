@@ -1,11 +1,11 @@
 """Fit the tail exponent of the paraboloid-opening field of a capped bump slice.
 
-Builds v = min(1, u_{alpha,R}) on a 2-D grid, computes the opening field Theta by
-bisection, then fits |{Theta > t}| against t in log-log over a decade of
+Builds v = min(1, u_{alpha,R}) on a 2-D grid, computes the exact opening field
+Theta, then fits |{Theta > t}| against t in log-log over a decade of
 thresholds. The predicted slope is -d/(alpha+2) with d the slice dimension.
 
-The default 65-point grid runs in a few seconds; --points 129 reproduces the
-measurement quoted in the test suite (about half a minute).
+The default 65-point grid runs in about a second; --points 129 reproduces the
+measurement quoted in the test suite (a few seconds).
 """
 
 import argparse
@@ -21,7 +21,6 @@ def main(argv=None):
     ap.add_argument("--R", type=float, default=0.35)
     ap.add_argument("--points", type=int, default=65, help="grid points per axis")
     ap.add_argument("--a-max", type=float, default=600.0)
-    ap.add_argument("--bisect-tol", type=float, default=0.25)
     ap.add_argument("--t-lo", type=float, default=14.0)
     ap.add_argument("--t-hi", type=float, default=140.0)
     ap.add_argument("--save-theta", type=str, default=None,
@@ -38,7 +37,7 @@ def main(argv=None):
         return out
 
     g = h.grid_from_callable(vals, 2, args.points, domain_radius=1.0)
-    tf = h.theta_field(g, a_max=args.a_max, bisect_tol=args.bisect_tol)
+    tf = h.theta_field(g, a_max=args.a_max)
     frac = float(tf.converged[tf.interior].mean())
     print(f"theta field: {args.points}^2 grid, converged fraction {frac:.4f}")
 

@@ -169,7 +169,8 @@ def cmd_counterexample(cfg: RunConfig) -> int:
 def cmd_theta(cfg: RunConfig) -> int:
     p = cfg.parameters
     grid = lab.GridFunction.load(p["input"])
-    tf = lab.theta_field(grid, p["a_max"], p["bisect_tol"])
+    p.pop("bisect_tol")  # accepted and ignored: Theta is exact
+    tf = lab.theta_field(grid, p["a_max"])
     restrict = p["restrict_radius"] if p.get("restrict_radius") else grid.domain_radius / 2.0
     if p.get("t_grid"):
         t_grid = np.asarray(_parse_floats(p["t_grid"]))
@@ -182,6 +183,7 @@ def cmd_theta(cfg: RunConfig) -> int:
         "fitted_exponent": tail.fitted_exponent,
         "converged_fraction": float(tf.converged[grid.inside_mask()].mean()),
     })
+    cfg.provenance.update({f"theta_{k}": v for k, v in tf.stats.items()})
     rows = [{"t": float(t), "measure": float(m)}
             for t, m in zip(tail.thresholds, tail.measures)]
     _emit(cfg, rows)
@@ -268,12 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
     t = sp.add_parser("theta", help="minimal-opening field and tail distribution")
     t.add_argument("--input", required=True, help="grid header JSON")
     t.add_argument("--a-max", dest="a_max", type=float, required=True)
-    t.add_argument("--bisect-tol", dest="bisect_tol", type=float, required=True)
+    t.add_argument("--bisect-tol", dest="bisect_tol", type=float, default=argparse.SUPPRESS,
+                   help="ignored, since Theta is computed exactly; removed with the next"
+                        " benchmark revision")
     t.add_argument("--restrict-radius", dest="restrict_radius", type=float,
                    default=argparse.SUPPRESS)
     t.add_argument("--t-grid", dest="t_grid", default=argparse.SUPPRESS,
                    help="comma list of thresholds (default geometric)")
-    t.set_defaults(builtin={"restrict_radius": None, "t_grid": None})
+    t.set_defaults(builtin={"bisect_tol": None, "restrict_radius": None, "t_grid": None})
     _add_common(t)
 
     d = sp.add_parser("decay", help="contact-set measure decay in the opening")

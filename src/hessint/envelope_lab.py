@@ -11,6 +11,11 @@ super-level sets give the Hessian integrability tail.
 Theta, the envelope's contact mask and the decay counts share one contact
 test: the lifted sample is a vertex of a downward facet of the lower hull.
 Samples strictly inside a flat facet touch yet count as contact only at larger a.
+Theta comes exact from one hull of the samples lifted to (x, v, |x|^2/2) in
+R^(d+2): contact at opening a is a direction inside a vertex's normal cone,
+so Theta_i is the least c_q/c_v over the inward facet normals at sample i
+(see theta_field), with both ends checked against the data by an LP-duality
+certificate pair.
 
 The convex envelope of the discrete point cloud is computed exactly: the
 sampled points are lifted to graph space, qhull builds their convex hull, and
@@ -26,10 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -41,6 +43,9 @@ from .exponent_bounds import Ellipticity, c_star
 
 _VERTICAL_TOL = 1e-12
 _AFFINE_RTOL = 1e-9
+_CERT_RTOL = 1e-12
+_CERT_BLOCK = 100_000  # elements per block of the primal certificate check
+_QHULL_OPTIONS = ("Q0", "Qx")  # no pre-merge first, then merged facets
 
 
 @dataclass
@@ -149,12 +154,21 @@ class GridFunction:
             header = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise GridFormatError(f"cannot parse grid header {path}: {exc}") from exc
+        if not isinstance(header, dict):
+            raise GridFormatError(f"grid header {path} is not a JSON object")
         required = {"dim", "shape", "spacing", "center", "domain_radius", "payload"}
         missing = required - header.keys()
         if missing:
             raise GridFormatError(f"grid header {path} missing keys: {sorted(missing)}")
-        shape = tuple(int(s) for s in header["shape"])
-        count = int(np.prod(shape))
+        shape, center = header["shape"], header["center"]
+        if not (_is_int(header["dim"]) and isinstance(shape, list) and shape
+                and all(_is_int(s) and s > 0 for s in shape)):
+            raise GridFormatError(f"grid header {path}: dim and shape must be positive integers")
+        if not (isinstance(center, list) and all(map(_is_number, center))
+                and _is_number(header["spacing"]) and _is_number(header["domain_radius"])):
+            raise GridFormatError(
+                f"grid header {path}: spacing, center and domain_radius must be numbers")
+        count = math.prod(shape)
         payload = header["payload"]
         if payload == "inline":
             # older writers kept the list under a sibling "values" key
@@ -162,6 +176,8 @@ class GridFunction:
         if isinstance(payload, list):
             if len(payload) != count:
                 raise GridFormatError(f"inline payload in {path} has wrong length")
+            if not all(x is None or _is_number(x) for x in payload):
+                raise GridFormatError(f"inline payload in {path} holds a non-number")
             vals = np.array([math.nan if x is None else float(x) for x in payload])
         elif isinstance(payload, str):
             if payload in ("", "..") or Path(payload).name != payload:
@@ -179,13 +195,22 @@ class GridFunction:
         else:
             raise GridFormatError(f"grid header {path} has an unusable payload field")
         return cls(
-            dim=int(header["dim"]),
-            shape=shape,
+            dim=header["dim"],
+            shape=tuple(shape),
             spacing=float(header["spacing"]),
-            center=tuple(float(c) for c in header["center"]),
+            center=tuple(float(c) for c in center),
             domain_radius=float(header["domain_radius"]),
             values=vals.reshape(shape),
         )
+
+
+def _is_int(x) -> bool:
+    # JSON integers only: bool is an int subclass, and true must not read as 1
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return _is_int(x) or isinstance(x, float)
 
 
 def grid_from_callable(f, dim: int, points_per_axis: int, domain_radius: float = 1.0,
@@ -216,14 +241,22 @@ class EnvelopeResult:
 
 @dataclass
 class ThetaField:
-    """Per-point minimal paraboloid opening with bisection brackets.
+    """Per-point minimal paraboloid opening with certified bounds.
 
-    theta holds the upper bracket end (a verified contact opening) where
-    converged, and a_max where the point is not in contact even at a_max
+    bracket_lo <= Theta <= bracket_hi, each end checked against the data (see
+    theta_field); the two agree to rounding. theta is bracket_hi where
+    converged (Theta <= a_max), and a_max where Theta exceeds a_max
     (converged False; tail counts treat such points as Theta > t for every
     t <= a_max). Samples outside the ball are NaN / False. interior flags
     points at least two cells away from the ball boundary; boundary-ring
     values are reported but carry extra discretization error.
+
+    stats holds the engine's integer counters: hull_points, hull_facets,
+    contact_facets (facets with c_v > 0), qhull_option (0 for "Q0", 1 for
+    "Qx", -1 where no lifted hull is needed: a flat cloud, or one whose
+    samples are all x-hull vertices), fallbacks (hull builds that raised or
+    left a sample uncertified) and certified (samples whose two bounds
+    agree).
     """
 
     theta: np.ndarray
@@ -232,6 +265,7 @@ class ThetaField:
     bracket_hi: np.ndarray
     interior: np.ndarray
     grid: GridFunction
+    stats: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -376,58 +410,40 @@ def a_convex_envelope(v: GridFunction, a: float) -> EnvelopeResult:
     )
 
 
-def theta_field(v: GridFunction, a_max: float, bisect_tol: float) -> ThetaField:
-    """Minimal contact opening per point by bisection over [0, a_max].
+def theta_field(v: GridFunction, a_max: float, bisect_tol: float | None = None) -> ThetaField:
+    """Exact minimal contact opening per point, from one hull in R^(d+2).
 
-    A point is in the contact set of opening a exactly when its lifted sample
-    is a vertex of a downward facet of the lower hull of v + (a/2)|x|^2, so
-    each probe asks qhull for those vertices; probes are shared across points
-    whose brackets coincide. Points without contact even at a_max get
-    theta = a_max and converged False.
+    Lift sample j to y_j = (x_j, v_j, q_j) with q = |x|^2/2. Sample i is in
+    contact at opening a exactly when it strictly minimises v + a q - p.x over
+    the cloud for some p, that is when (-p, 1, a) lies inside the normal cone
+    of y_i in conv{y_j}. That cone is spanned by the inward normals
+    c = (c_x, c_v, c_q) of the hull facets incident to i, so
+    Theta_i = max(0, min c_q / c_v) over those facets with c_v > 0. Vertices
+    of the x-hull have Theta = 0 exactly (a linear function exposes them at
+    every opening). A cloud whose lift is flat (v = affine + c q) has
+    Theta = max(0, -c) off those vertices.
 
-    The probes of one bisection level are independent (each has its own
-    opening and updates only its own points), and qhull releases the GIL, so
-    with more than one usable CPU the calling thread builds every other
-    probe's hull and one worker thread builds the rest; the masks are applied
-    in increasing opening, so the result is the serial one. One worker, not
-    one per CPU: every thread that builds hulls keeps its own malloc arena.
+    Both ends of every value are checked in numpy against the data:
+    bracket_hi is an opening a whose paraboloid, with the slope read off the
+    minimising facet, stays below all N samples (so Theta <= a), and
+    bracket_lo is sum_k lam_k (v_i - v_k) for weights lam >= 0 on the other
+    vertices of a minimising facet with sum lam_k dx_k = 0 and
+    sum lam_k |dx_k|^2/2 = 1 (so Theta >= it, by LP duality). qhull runs
+    without pre-merging ("Q0") first; if it raises or any certificate fails,
+    the hull is rebuilt once with merged facets ("Qx"), and if that fails too
+    GeometryError names the count of uncertified samples.
+
+    theta is bracket_hi where it is at most a_max (converged), and a_max with
+    converged False elsewhere. bisect_tol is accepted and ignored; it is
+    removed with the benchmark revision that stops passing it (ROADMAP
+    direction 2).
     """
     if not (a_max > 0.0 and math.isfinite(a_max)):
         raise DomainError(f"a_max must be positive, got {a_max}")
-    if not (0.0 < bisect_tol < a_max):
-        raise DomainError(f"bisect_tol must lie in (0, a_max), got {bisect_tol}")
 
     pts, d2, inside = v._coords()
-    pts = pts[inside]
-    base = v.values.ravel()[inside]
-    n_in = len(base)
-
-    def probes(openings):
-        return [_contact(pts, base, float(m), need_values=False)[1] for m in openings]
-
-    top = _contact(pts, base, a_max, need_values=False)[1]
-    lo = np.zeros(n_in)
-    hi = np.full(n_in, float(a_max))
-    steps = max(1, math.ceil(math.log2(a_max / bisect_tol)))
-    with ThreadPoolExecutor(max_workers=1) if _usable_cpus() > 1 else nullcontext() as pool:
-        for _ in range(steps):
-            active = top & (hi - lo > bisect_tol)
-            if not active.any():
-                break
-            mids = 0.5 * (lo + hi)
-            ms = np.unique(mids[active])
-            if pool is None:
-                masks = probes(ms)
-            else:
-                odd = pool.submit(probes, ms[1::2])
-                masks = [None] * len(ms)
-                masks[0::2] = probes(ms[0::2])
-                masks[1::2] = odd.result()
-            for m, mask in zip(ms, masks):
-                group = active & (mids == m)
-                hi[mask & group] = m
-                lo[group & ~mask] = m
-    theta = np.where(top, hi, a_max)
+    lo, hi, stats = _exact_theta(pts[inside], v.values.ravel()[inside])
+    converged = hi <= a_max
 
     def expand(arr_inside, fill, dtype):
         out = np.full(v.values.size, fill, dtype=dtype)
@@ -437,19 +453,131 @@ def theta_field(v: GridFunction, a_max: float, bisect_tol: float) -> ThetaField:
     d_to_boundary = v.domain_radius - np.sqrt(d2)
     interior = (d_to_boundary >= 2.0 * v.spacing) & inside
     return ThetaField(
-        theta=expand(theta, np.nan, float),
-        converged=expand(top, False, bool),
+        theta=expand(np.where(converged, hi, a_max), np.nan, float),
+        converged=expand(converged, False, bool),
         bracket_lo=expand(lo, np.nan, float),
         bracket_hi=expand(hi, np.nan, float),
         interior=interior.reshape(v.shape),
         grid=v,
+        stats=stats,
     )
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def _exact_theta(points: np.ndarray, values: np.ndarray):
+    """Certified (lo, hi) bounds on Theta per sample, and the engine's counters."""
+    n, d = points.shape
+    q = 0.5 * (points ** 2).sum(axis=1)
+    if d == 1 or n == 1:
+        corners = np.unique([points[:, 0].argmin(), points[:, 0].argmax()])
+    else:
+        try:
+            corners = ConvexHull(points).vertices
+        except QhullError as exc:
+            raise GeometryError(f"the {n} samples inside the ball do not span R^{d}") from exc
+    stats = dict(hull_points=n, hull_facets=0, contact_facets=0, qhull_option=-1,
+                 fallbacks=0, certified=n)
+    if len(corners) == n:
+        return np.zeros(n), np.zeros(n), stats
+    cloud = np.column_stack([points, values, q])
+    failed = n
+    for k, option in enumerate(_QHULL_OPTIONS):
+        try:
+            hull = ConvexHull(cloud, qhull_options=option)
+        except QhullError:
+            flat = _flat_theta(points, values, q, corners) if k == 0 else None
+            if flat is not None:
+                stats["fallbacks"] = 1
+                return flat, flat, stats
+            continue
+        lo, hi, failed, contact_facets = _certified_theta(hull, cloud, d, corners)
+        if failed == 0:
+            stats.update(hull_facets=len(hull.simplices), contact_facets=contact_facets,
+                         qhull_option=k, fallbacks=k)
+            return lo, hi, stats
+    raise GeometryError(f"Theta left {failed} of {n} samples uncertified with qhull options"
+                        f" {' and '.join(_QHULL_OPTIONS)}")
+
+
+def _flat_theta(points, values, q, corners):
+    """Theta of a cloud with v = b.x + c q + e (to _AFFINE_RTOL), else None."""
+    A = np.column_stack([points, q, np.ones(len(q))])
+    coef, *_ = np.linalg.lstsq(A, values, rcond=None)
+    if np.abs(A @ coef - values).max() > _AFFINE_RTOL * max(1.0, float(np.abs(values).max())):
+        return None
+    theta = np.full(len(q), max(0.0, -float(coef[-2])))
+    theta[corners] = 0.0
+    return theta
+
+
+def _certified_theta(hull, cloud: np.ndarray, d: int, corners: np.ndarray):
+    """(lo, hi, failed count, contact facet count) from the hull's normal cones."""
+    n = len(cloud)
+    points, values, q = cloud[:, :d], cloud[:, d], cloud[:, d + 1]
+    normal = -hull.equations[:, :d + 2]          # inward
+    up = normal[:, d] > _VERTICAL_TOL
+    simplices = hull.simplices[up]
+    ratio = normal[up, d + 1] / normal[up, d]
+    slope = normal[up, :d] / normal[up, d][:, None]
+
+    # (sample, facet) incidences sorted by ratio within each sample
+    owner = simplices.ravel()
+    facet = np.repeat(np.arange(len(simplices)), d + 2)
+    order = np.lexsort((ratio[facet], owner))
+    owner, facet = owner[order], facet[order]
+    touched, first = np.unique(owner, return_index=True)
+    best = np.full(n, np.inf)
+    best[touched] = ratio[facet[first]]
+
+    lo = np.full(n, np.inf)
+    hi = np.full(n, np.inf)
+
+    # primal: the paraboloid of opening a = max(r, 0) and slope p at x_i stays
+    # below every sample; slack_ij = K_i . (v_j, q_j, x_j, 1), blockwise
+    r = best[touched]
+    a = np.maximum(r, 0.0)
+    x = points[touched]
+    p = -(slope[facet[first]] + r[:, None] * x)
+    m = a[:, None] * x + p
+    const = -values[touched] + a * q[touched] + (p * x).sum(axis=1)
+    K = np.column_stack([np.ones(len(r)), a, -m, const])
+    feats = np.column_stack([values, q, points, np.ones(n)])
+    scale = np.abs(K) @ np.abs(feats).max(axis=0) + np.abs(p).sum(axis=1) * np.abs(points).max()
+    worst = np.empty(len(r))
+    block = max(1, _CERT_BLOCK // n)
+    for s in range(0, len(r), block):
+        worst[s:s + block] = (K[s:s + block] @ feats.T).min(axis=1)
+    hi[touched] = a
+
+    # dual: on each facet tying the minimum, weights lam on its other d+1
+    # vertices with sum lam dx = 0 and sum lam |dx|^2/2 = 1 prove Theta >= sum lam (v_i - v_k)
+    tie = ratio[facet] <= best[owner] + _CERT_RTOL * np.maximum(1.0, np.abs(best[owner]))
+    tie &= best[owner] > 0.0
+    i, f = owner[tie], facet[tie]
+    verts = simplices[f]
+    others = verts[verts != i[:, None]].reshape(len(i), d + 1)
+    dx = points[others] - points[i][:, None, :]
+    M = np.concatenate([np.swapaxes(dx, 1, 2), 0.5 * (dx ** 2).sum(axis=2)[:, None, :]], axis=1)
+    det = np.linalg.det(M)
+    regular = np.abs(det) > _CERT_RTOL * np.prod(np.abs(M).sum(axis=2), axis=1)
+    lam = np.zeros((len(i), d + 1))
+    lam[regular] = np.linalg.inv(M[regular])[:, :, d]   # M lam = (0, ..., 0, 1)
+    # clipped to lam >= 0, the weights must still solve the system
+    lam = np.clip(lam, 0.0, None)
+    resid = np.abs(np.einsum("pkl,pl->pk", M, lam) - np.eye(d + 1)[d]).max(axis=1)
+    valid = regular & (resid <= _CERT_RTOL * np.maximum(1.0, lam.sum(axis=1)))
+    bound = (lam * (values[i][:, None] - values[others])).sum(axis=1)
+    lo_pos = np.full(n, -np.inf)
+    np.maximum.at(lo_pos, i[valid], bound[valid])
+    lo[touched] = np.where(r > 0.0, np.minimum(lo_pos[touched], a), 0.0)
+
+    # every sample is in contact at a large enough opening, so one that no
+    # facet with c_v > 0 touches fails too
+    ok = np.zeros(n, dtype=bool)
+    gap = np.where(r > 0.0, np.abs(a - lo_pos[touched]), 0.0)
+    ok[touched] = (worst >= -_CERT_RTOL * scale) & (gap <= _CERT_RTOL * np.maximum(1.0, a))
+    ok[corners] = True
+    lo[corners] = hi[corners] = 0.0
+    return lo, hi, int((~ok).sum()), int(up.sum())
 
 
 def tail_distribution(theta: ThetaField, restrict_radius: float,

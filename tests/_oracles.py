@@ -45,6 +45,25 @@ def lp_envelope(points, values, queries):
     return out
 
 
+def theta_lp(points, values, i):
+    """Minimal contact opening at sample i by linear programming (HiGHS).
+
+    Minimizes a >= 0 over (a, p) subject to
+    a |x_j - x_i|^2 / 2 - p . (x_j - x_i) >= v_i - v_j for every other sample j:
+    the paraboloid of opening -a through (x_i, v_i) stays below the data.
+    """
+    dx = np.delete(points - points[i], i, axis=0)
+    rhs = np.delete(values, i) - values[i]
+    A = np.column_stack([-0.5 * (dx ** 2).sum(axis=1), dx])
+    cost = np.zeros(A.shape[1])
+    cost[0] = 1.0
+    bounds = [(0.0, None)] + [(None, None)] * dx.shape[1]
+    res = linprog(cost, A_ub=A, b_ub=rhs, bounds=bounds, method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"Theta LP failed at sample {i}: {res.message}")
+    return float(res.x[0])
+
+
 class CertificateError(RuntimeError):
     """The certificate oracle could not produce a certificate for every sample."""
 

@@ -8,15 +8,18 @@ import hessint as h
 BUILD_SECONDS = {}
 
 
-def bump_slice(prof, points_per_axis):
-    """2-d slice of the capped single-bump profile, value 1 at the origin."""
+def bump_slice(prof, points_per_axis, centre=(0.0, 0.0)):
+    """Capped single-bump profile on the unit ball, value 1 at ``centre``.
+
+    The grid has len(centre) dimensions: the default is the 2-d slice.
+    """
     def vals(pts):
-        r = np.sqrt((pts ** 2).sum(axis=1))
+        r = np.sqrt(((pts - np.asarray(centre)) ** 2).sum(axis=1))
         out = np.empty(len(r))
         for i, ri in enumerate(r):
             out[i] = 1.0 if ri == 0.0 else min(1.0, h.u_value(prof, float(ri)))
         return out
-    return h.grid_from_callable(vals, 2, points_per_axis, domain_radius=1.0)
+    return h.grid_from_callable(vals, len(centre), points_per_axis, domain_radius=1.0)
 
 
 @pytest.fixture(scope="session")
@@ -31,10 +34,10 @@ def bump_grid(bump_profile):
 
 @pytest.fixture(scope="session")
 def bump_theta(bump_grid):
-    # the slowest step of the suite (288 qhull calls of 12,853 points: about
-    # 35 s on two CPUs, 70 s on one); shared by the acceptance run and the unit
-    # tests, with the build cost recorded so the acceptance timing can include it
+    # one qhull call of 12,853 points in R^4 plus its certificates (about
+    # 2 s); shared by the acceptance run and the unit tests, with the build
+    # cost recorded so the acceptance timing can include it
     t0 = time.perf_counter()
-    field = h.theta_field(bump_grid, a_max=600.0, bisect_tol=0.25)
+    field = h.theta_field(bump_grid, a_max=600.0)
     BUILD_SECONDS["bump_theta"] = time.perf_counter() - t0
     return field

@@ -256,7 +256,7 @@ def test_criterion_09_theta_recovers_paraboloid_opening():
     a0, tol = 7.3, 0.05
     par = h.grid_from_callable(lambda p: -(a0 / 2.0) * (p ** 2).sum(axis=1),
                                2, 129, domain_radius=1.0)
-    tf = h.theta_field(par, a_max=32.0, bisect_tol=tol)
+    tf = h.theta_field(par, a_max=32.0)
     if not tf.converged[tf.interior].all():
         failures.append("bisection failed to converge somewhere in the interior")
     dev = float(np.abs(tf.theta[tf.interior] - a0).max())
@@ -270,7 +270,7 @@ def test_criterion_09_theta_recovers_paraboloid_opening():
                     ("radial exponential",
                      lambda p: np.exp(0.8 * (p ** 2).sum(axis=1)))):
         g = h.grid_from_callable(f, 2, 129, domain_radius=1.0)
-        tc = h.theta_field(g, a_max=8.0, bisect_tol=tol)
+        tc = h.theta_field(g, a_max=8.0)
         top = float(np.nanmax(tc.theta[g.inside_mask()]))
         if top > tol:
             failures.append(f"convex input ({name}) reports theta {top!r} above {tol}")

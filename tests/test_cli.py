@@ -159,12 +159,19 @@ def test_theta_command(tmp_path, capsys):
     grid_path = tmp_path / "parab.json"
     g.save(grid_path)
     code, out, _ = run_cli(capsys, "theta", "--input", str(grid_path),
-                           "--a-max", "16", "--bisect-tol", "0.1", "--reproducible")
+                           "--a-max", "16", "--reproducible")
     assert code == 0
     comments, rows = parse_csv(out)
     assert comments["grid_hash"] == g.content_hash()
     assert float(comments["restrict_radius"]) == 0.5
     assert float(comments["converged_fraction"]) == 1.0
+    # the paraboloid lifts to a flat cloud: no hull, every sample exact
+    assert comments["theta_qhull_option"] == "-1"
+    assert comments["theta_certified"] == comments["theta_hull_points"]
+    # the old bisection flag is still accepted, and changes nothing
+    code, again, _ = run_cli(capsys, "theta", "--input", str(grid_path),
+                             "--a-max", "16", "--bisect-tol", "0.1", "--reproducible")
+    assert code == 0 and again == out
     measures = [float(r["measure"]) for r in rows]
     ts = [float(r["t"]) for r in rows]
     assert all(b >= a for a, b in zip(ts, ts[1:]))
@@ -176,7 +183,7 @@ def test_theta_command(tmp_path, capsys):
 
 def test_theta_missing_grid_is_usage_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "theta", "--input", str(tmp_path / "absent.json"),
-                           "--a-max", "4", "--bisect-tol", "0.5")
+                           "--a-max", "4")
     assert code == 2
     assert "error" in err.lower()
 
@@ -261,7 +268,7 @@ def test_config_value_gets_its_flag_type(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"restrict_radius": "half"}))
     code, _, err = run_cli(capsys, "theta", "--input", str(grid_path), "--a-max", "4",
-                           "--bisect-tol", "1", "--config", str(cfg))
+                           "--config", str(cfg))
     assert code == 2
     assert "restrict_radius" in err
 

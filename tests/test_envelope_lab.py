@@ -1,7 +1,7 @@
 import json
-import threading
+import re
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from scipy.spatial import ConvexHull, QhullError
 import hessint as h
 import hessint.envelope_lab as lab
 from _oracles import (CertificateError, envelope_1d_bruteforce, envelope_certificates,
-                      lp_envelope)
+                      lp_envelope, theta_lp)
 from conftest import bump_slice
 
 RNG = np.random.default_rng(20260819)
@@ -135,6 +135,22 @@ def test_load_errors(tmp_path):
     p5.write_text("{nope")
     with pytest.raises(h.GridFormatError):
         h.GridFunction.load(p5)
+
+    # well-formed JSON with the wrong types: a usage error, never a traceback
+    # or a silent conversion
+    p7 = tmp_path / "typed.json"
+    p7.write_text(json.dumps([header]))
+    with pytest.raises(h.GridFormatError):
+        h.GridFunction.load(p7)
+    nested = [[x] for x in header["payload"]]
+    for key, bad in (("shape", 3), ("shape", ["a"]), ("shape", [5.0]), ("dim", "two"),
+                     ("payload", ["x"] * 5), ("payload", nested), ("spacing", None),
+                     ("spacing", True), ("center", [True]), ("domain_radius", "1")):
+        broken = dict(header)
+        broken[key] = bad
+        p7.write_text(json.dumps(broken))
+        with pytest.raises(h.GridFormatError):
+            h.GridFunction.load(p7)
 
 
 def test_content_hash_tracks_values():
@@ -273,17 +289,19 @@ def test_contact_mask_matches_oracle_gap():
 
 
 def test_contact_mask_agrees_with_theta_brackets():
-    # Theta and the contact mask share one predicate, and contact only grows with a
+    # Theta and the contact mask share one predicate, and contact only grows
+    # with a. At a = Theta a sample may sit inside a flat facet, which counts
+    # as no contact (ridge_2d has 152 samples with Theta = 1, none in contact at a = 1),
+    # so both sides are strict, by more than the brackets' rounding
     for g in (ridge_1d(81), ridge_2d()):
         inside = g.inside_mask()
-        tf = h.theta_field(g, a_max=6.0, bisect_tol=0.05)
-        conv = tf.converged & inside
-        assert conv.any() and (inside & ~tf.converged).any()
+        tf = h.theta_field(g, a_max=6.0)
+        assert (tf.converged & inside).any() and (inside & ~tf.converged).any()
         for a in (0.3, 1.0, 2.5, 4.0, 6.0):
             contact = h.a_convex_envelope(g, a).contact_mask
-            assert contact[conv & (tf.bracket_hi <= a)].all()
-            assert not contact[conv & (tf.bracket_lo > 0.0) & (tf.bracket_lo >= a)].any()
-            assert not contact[inside & ~tf.converged].any()
+            margin = 1e-12 * max(1.0, a)
+            assert contact[inside & (tf.bracket_hi < a - margin)].all()
+            assert not contact[inside & (tf.bracket_lo > a + margin)].any()
 
 
 def test_envelope_ordering_in_opening():
@@ -321,7 +339,7 @@ def test_scaling_identity():
 def test_theta_convex_is_zero():
     g = h.grid_from_callable(lambda p: np.abs(p[:, 0]) + 0.5 * (p ** 2).sum(axis=1),
                              2, 33, domain_radius=1.0)
-    tf = h.theta_field(g, a_max=8.0, bisect_tol=0.05)
+    tf = h.theta_field(g, a_max=8.0)
     assert tf.converged[tf.interior].all()
     assert tf.theta[tf.interior].max() <= 0.05
     assert (tf.theta[g.inside_mask()] >= 0.0).all()
@@ -331,19 +349,19 @@ def test_theta_paraboloid_recovers_opening():
     a0 = 4.0
     g = h.grid_from_callable(lambda p: -(a0 / 2.0) * (p ** 2).sum(axis=1), 2, 33,
                              domain_radius=1.0)
-    tf = h.theta_field(g, a_max=16.0, bisect_tol=0.1)
+    tf = h.theta_field(g, a_max=16.0)
     assert tf.converged[tf.interior].all()
     dev = np.abs(tf.theta[tf.interior] - a0).max()
     assert dev <= max(0.02 * a0, 0.1)
     width = (tf.bracket_hi - tf.bracket_lo)[tf.interior & tf.converged]
-    assert width.max() <= 0.1 + 1e-12
+    assert width.max() <= 1e-12
 
 
 def test_theta_nonconvergence_is_data():
     a0 = 8.0
     g = h.grid_from_callable(lambda p: -(a0 / 2.0) * (p ** 2).sum(axis=1), 2, 17,
                              domain_radius=1.0)
-    tf = h.theta_field(g, a_max=2.0, bisect_tol=0.1)
+    tf = h.theta_field(g, a_max=2.0)
     assert not tf.converged[tf.interior].any()
     assert (tf.theta[tf.interior] == 2.0).all()
 
@@ -353,8 +371,8 @@ def test_theta_monotone_in_data():
     g1 = h.grid_from_callable(
         lambda p: -2.0 * (p ** 2).sum(axis=1) - 5.0 * ((p ** 2).sum(axis=1)) ** 2,
         2, 33, domain_radius=1.0)
-    t1 = h.theta_field(g1, a_max=64.0, bisect_tol=0.05)
-    t2 = h.theta_field(g2, a_max=64.0, bisect_tol=0.05)
+    t1 = h.theta_field(g1, a_max=64.0)
+    t2 = h.theta_field(g2, a_max=64.0)
     c = (g2.shape[0] // 2, g2.shape[1] // 2)  # origin, where the two agree
     assert g1.values[c] == g2.values[c]
     assert t1.theta[c] >= t2.theta[c] - 0.05
@@ -362,7 +380,7 @@ def test_theta_monotone_in_data():
 
 def test_theta_boundary_flagged_not_interior():
     g = h.grid_from_callable(lambda p: -(p ** 2).sum(axis=1), 2, 33, domain_radius=1.0)
-    tf = h.theta_field(g, a_max=8.0, bisect_tol=0.1)
+    tf = h.theta_field(g, a_max=8.0)
     r = np.sqrt((g.points() ** 2).sum(axis=1)).reshape(g.shape)
     near_edge = g.inside_mask() & (r > 1.0 - g.spacing)
     assert near_edge.any()
@@ -370,85 +388,156 @@ def test_theta_boundary_flagged_not_interior():
     assert np.isfinite(tf.theta[near_edge]).all()
 
 
-def _assert_same_theta(a, b):
-    for name in ("theta", "bracket_lo", "bracket_hi", "converged"):
-        x, y = getattr(a, name), getattr(b, name)
-        assert np.array_equal(x, y, equal_nan=x.dtype.kind == "f"), name
-
-
-def _cpus(monkeypatch, count):
-    monkeypatch.setattr(lab.os, "sched_getaffinity", lambda pid: set(range(count)),
-                        raising=False)
-
-
 @pytest.fixture(scope="module")
 def bump33():
     return bump_slice(h.RadialProfile(3, 1.0, 0.35, 1.0, 2.0), 33)
 
 
-def test_theta_concurrent_probes_match_serial(bump33, monkeypatch):
-    # each bisection level's probes run on the caller and one worker thread;
-    # the field must equal the one-CPU serial run bit for bit
-    with monkeypatch.context() as mp:
-        _cpus(mp, 1)
-        serial = h.theta_field(bump33, a_max=600.0, bisect_tol=0.25)
-    _cpus(monkeypatch, 2)
-    threads = []
-
-    def hull(*args, **kwargs):
-        threads.append(threading.get_ident())
-        return ConvexHull(*args, **kwargs)
-    monkeypatch.setattr(lab, "ConvexHull", hull)
-    paired = h.theta_field(bump33, a_max=600.0, bisect_tol=0.25)
-    _assert_same_theta(paired, serial)
-    assert len(set(threads)) == 2
+def _assert_matches_lp(tf, sample):
+    # sample indexes the samples inside the ball; both certified ends agree with HiGHS
+    g = tf.grid
+    inside = g.inside_mask().ravel()
+    pts, vals = g.points()[inside], g.values.ravel()[inside]
+    lo, hi = tf.bracket_lo.ravel()[inside], tf.bracket_hi.ravel()[inside]
+    for i in sample:
+        want = theta_lp(pts, vals, int(i))
+        tol = 1e-9 * max(1.0, want)
+        assert abs(hi[i] - want) <= tol and abs(lo[i] - want) <= tol, (i, lo[i], hi[i], want)
 
 
-def test_theta_worker_probe_error_propagates(bump33, monkeypatch):
-    # the first opening the worker thread probes raises; later probes succeed
-    boom = RuntimeError("qhull failed at one opening")
-    caller = threading.get_ident()
-    worker_calls = []
+def test_theta_matches_lp_oracle(bump33):
+    shifted = bump_slice(h.RadialProfile(3, 1.0, 0.35, 1.0, 2.0), 65,
+                         centre=(1.0 / 64.0, -1.0 / 64.0))
+    tf = h.theta_field(shifted, a_max=600.0)
+    n_in = int(shifted.inside_mask().sum())
+    _assert_matches_lp(tf, np.sort(RNG.choice(n_in, size=40, replace=False)))
 
+    tf = h.theta_field(bump33, a_max=600.0)
+    inside = bump33.inside_mask()
+    ring = np.nonzero((inside & ~tf.interior)[inside])[0]
+    assert len(ring) > 100
+    _assert_matches_lp(tf, ring)
+
+    # on strongly concave data the facets at an x-hull vertex give a positive
+    # ratio, yet Theta is 0 there
+    concave = h.grid_from_callable(
+        lambda p: -4.0 * (p ** 2).sum(axis=1) + 0.1 * np.cos(5.0 * p[:, 0]) + 0.3 * p[:, 1],
+        2, 17, domain_radius=1.0)
+    for g in (ridge_1d(81), ridge_2d(), concave):
+        tf = h.theta_field(g, a_max=6.0)
+        _assert_matches_lp(tf, range(int(g.inside_mask().sum())))
+
+
+def test_theta_matches_lp_oracle_in_3d():
+    # the extremal 3-d profile, alpha = (n-1) Lambda/lambda - 1: a 5-d hull
+    g = bump_slice(h.RadialProfile(3, 3.0, 0.35, 1.0, 2.0), 17, centre=(0.0, 0.0, 0.0))
+    tf = h.theta_field(g, a_max=600.0)
+    assert tf.stats["certified"] == int(g.inside_mask().sum())
+    _assert_matches_lp(tf, np.sort(RNG.choice(tf.stats["hull_points"], size=40, replace=False)))
+
+
+def test_theta_without_lifted_hull():
+    # four samples, all x-hull vertices: Theta = 0 whatever the data, though
+    # their lift spans too little for a hull in R^4
+    g = h.grid_from_callable(lambda p: p[:, 0] * p[:, 1], 2, 4)
+    tf = h.theta_field(g, a_max=8.0)
+    assert (tf.theta[g.inside_mask()] == 0.0).all() and tf.stats["qhull_option"] == -1
+
+    # v = paraboloid of opening 3 plus an affine part: the lift is flat, so no
+    # hull; Theta = 3 off the x-hull vertices and 0 on them
+    for dim in (1, 2):
+        g = h.grid_from_callable(
+            lambda p: -1.5 * (p ** 2).sum(axis=1) + 0.3 * p[:, 0] - 0.2 * p[:, -1] + 1.0,
+            dim, 21, domain_radius=1.0)
+        tf = h.theta_field(g, a_max=8.0)
+        inside = g.inside_mask()
+        pts = g.points()[inside.ravel()]
+        corners = np.zeros(len(pts), dtype=bool)
+        if dim == 1:
+            corners[[0, -1]] = True
+        else:
+            corners[ConvexHull(pts).vertices] = True
+        theta = tf.theta[inside]
+        assert np.abs(theta[~corners] - 3.0).max() <= 1e-9
+        assert (theta[corners] == 0.0).all()
+        assert tf.converged[inside].all()
+        assert tf.stats["qhull_option"] == -1
+
+
+def _failing_hull(fail):
+    # ConvexHull, except that the lifted builds whose options fail(options)
+    # says True raise; the x-hull (no options) always builds
     def hull(cloud, qhull_options=None):
-        if threading.get_ident() != caller:
-            worker_calls.append(cloud)
-            if len(worker_calls) == 1:
-                raise boom
+        if qhull_options is not None and fail(qhull_options):
+            raise QhullError(f"forced failure with {qhull_options}")
+        return ConvexHull(cloud, qhull_options=qhull_options)
+    return hull
+
+
+def test_theta_merged_fallback_matches(bump33, monkeypatch):
+    plain = h.theta_field(bump33, a_max=600.0)
+    assert plain.stats["qhull_option"] == 0 and plain.stats["fallbacks"] == 0
+    monkeypatch.setattr(lab, "ConvexHull", _failing_hull(lambda opt: opt == "Q0"))
+    merged = h.theta_field(bump33, a_max=600.0)
+    assert merged.stats["qhull_option"] == 1 and merged.stats["fallbacks"] == 1
+    inside = bump33.inside_mask()
+    for name in ("theta", "bracket_lo", "bracket_hi"):
+        x, y = getattr(plain, name)[inside], getattr(merged, name)[inside]
+        assert (np.abs(x - y) <= 1e-12 * np.maximum(1.0, x)).all(), name
+    assert np.array_equal(plain.converged, merged.converged)
+
+
+def test_theta_non_supporting_facets_are_caught(bump33, monkeypatch):
+    # every hull is built with the sample at x = (0, 3h) lifted far up in v:
+    # that sample loses its facets with c_v > 0, and the facets now spanning
+    # over it pass above the real sample, which the primal certificates of its
+    # neighbours reject
+    def hull(cloud, qhull_options=None):
+        if qhull_options is not None:
+            cloud = cloud.copy()
+            cloud[len(cloud) // 2 + 3, -2] += 10.0
         return ConvexHull(cloud, qhull_options=qhull_options)
     monkeypatch.setattr(lab, "ConvexHull", hull)
-    _cpus(monkeypatch, 2)
-    with pytest.raises(RuntimeError) as info:
-        h.theta_field(bump33, a_max=600.0, bisect_tol=0.25)
-    assert info.value is boom
+    with pytest.raises(h.GeometryError) as info:
+        h.theta_field(bump33, a_max=600.0)
+    failed = int(re.search(r"left (\d+) of", str(info.value)).group(1))
+    assert failed > 1
 
 
-def test_theta_joggled_fallback_is_deterministic(monkeypatch):
-    # force the QJ branch of the hull: qhull's joggle seed is fixed, so two
-    # concurrent runs and a serial one agree bit for bit
-    g = ridge_2d(17)
+def test_theta_missing_facets_are_caught(bump33, monkeypatch):
+    # a "Q0" hull without the facets that give one sample its Theta: the next
+    # facet still supports the data, but its ratio is too high, which the dual
+    # certificate rejects; the merged rebuild gives the right field
+    plain = h.theta_field(bump33, a_max=600.0)
+    target = plain.stats["hull_points"] // 2 + 3   # x = (0, 3h), Theta about 5.0
 
     def hull(cloud, qhull_options=None):
-        if qhull_options is None:
-            raise QhullError("forced")
-        return ConvexHull(cloud, qhull_options=qhull_options)
+        full = ConvexHull(cloud, qhull_options=qhull_options)
+        if qhull_options != "Q0":
+            return full
+        inward = -full.equations
+        at = (full.simplices == target).any(axis=1) & (inward[:, -3] > 0.0)
+        ratio = np.where(at, inward[:, -2] / np.where(at, inward[:, -3], 1.0), np.inf)
+        keep = ratio > ratio.min() + 1e-9
+        return SimpleNamespace(simplices=full.simplices[keep], equations=full.equations[keep])
     monkeypatch.setattr(lab, "ConvexHull", hull)
-    with monkeypatch.context() as mp:
-        _cpus(mp, 1)
-        serial = h.theta_field(g, a_max=6.0, bisect_tol=0.05)
-    _cpus(monkeypatch, 2)
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        runs = [pool.submit(h.theta_field, g, 6.0, 0.05) for _ in range(2)]
-        for run in runs:
-            _assert_same_theta(run.result(), serial)
-    assert serial.converged.any()
+    checked = h.theta_field(bump33, a_max=600.0)
+    assert checked.stats["fallbacks"] == 1
+    inside = bump33.inside_mask()
+    assert np.allclose(checked.theta[inside], plain.theta[inside], rtol=1e-12, atol=1e-12)
+
+
+def test_theta_all_hulls_failing_is_geometry_error(bump33, monkeypatch):
+    monkeypatch.setattr(lab, "ConvexHull", _failing_hull(lambda opt: True))
+    with pytest.raises(h.GeometryError, match="uncertified"):
+        h.theta_field(bump33, a_max=600.0)
 
 
 def test_tail_step_function():
     a0 = 4.0
     g = h.grid_from_callable(lambda p: -(a0 / 2.0) * (p ** 2).sum(axis=1), 2, 33,
                              domain_radius=1.0)
-    tf = h.theta_field(g, a_max=16.0, bisect_tol=0.05)
+    tf = h.theta_field(g, a_max=16.0)
     td = h.tail_distribution(tf, 0.5, np.array([1.0, 3.9, 4.1, 8.0]))
     pairs = list(td)
     assert len(td) == len(pairs) == 4
@@ -460,7 +549,7 @@ def test_tail_step_function():
 
 def test_tail_empty_region():
     g = h.grid_from_callable(lambda p: -(p ** 2).sum(axis=1), 2, 4, domain_radius=1.0)
-    tf = h.theta_field(g, a_max=4.0, bisect_tol=0.5)
+    tf = h.theta_field(g, a_max=4.0)
     td = h.tail_distribution(tf, 1e-9, np.array([0.5, 1.0, 2.0]))
     assert (td.measures == 0.0).all()
     assert np.isnan(td.fitted_exponent)
@@ -468,18 +557,18 @@ def test_tail_empty_region():
 
 def test_tail_warns_only_when_nonconverged_dominate():
     g = h.grid_from_callable(lambda p: -1.0 * (p ** 2).sum(axis=1), 2, 17, domain_radius=1.0)
-    full = h.theta_field(g, a_max=16.0, bisect_tol=0.1)
+    full = h.theta_field(g, a_max=16.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         h.tail_distribution(full, 0.5, np.array([1.0, 32.0]))  # converged: silent
-    starved = h.theta_field(g, a_max=1.0, bisect_tol=0.1)
+    starved = h.theta_field(g, a_max=1.0)
     with pytest.warns(UserWarning):
         h.tail_distribution(starved, 0.5, np.array([0.5, 1.5]))
 
 
 def test_tail_t_grid_validation():
     g = h.grid_from_callable(lambda p: -(p ** 2).sum(axis=1), 2, 9, domain_radius=1.0)
-    tf = h.theta_field(g, a_max=4.0, bisect_tol=0.5)
+    tf = h.theta_field(g, a_max=4.0)
     for bad in ([2.0, 1.0], [0.0, 1.0], [1.0], [-1.0, 2.0]):
         with pytest.raises(h.DomainError):
             h.tail_distribution(tf, 0.5, np.array(bad))
