@@ -26,7 +26,7 @@ from .envelope_lab import (DecayReport, EnvelopeResult, GridFunction,
                            TailDistribution, ThetaField, a_convex_envelope,
                            convex_envelope, decay_experiment,
                            grid_from_callable, tail_distribution, theta_field)
-from .counterexample import (DivergenceScan, RadialProfile, build_v,
+from .counterexample import (DivergenceScan, RadialProfile, build_v, capped_bump,
                              divergence_scan, hessian_eigenvalues,
                              lattice_admissible_radius, lattice_ball_count,
                              lp_lower_bound, pucci_minus, theta_lower, u_value)
@@ -46,7 +46,7 @@ __all__ = [
     "DecayReport", "EnvelopeResult", "GridFunction", "TailDistribution",
     "ThetaField", "a_convex_envelope", "convex_envelope", "decay_experiment",
     "grid_from_callable", "tail_distribution", "theta_field",
-    "DivergenceScan", "RadialProfile", "build_v", "divergence_scan",
+    "DivergenceScan", "RadialProfile", "build_v", "capped_bump", "divergence_scan",
     "hessian_eigenvalues", "lattice_admissible_radius", "lattice_ball_count",
     "lp_lower_bound", "pucci_minus", "theta_lower", "u_value",
     "__version__",

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gamma as _gamma_fn
 
-from .envelope_lab import GridFunction
+from .envelope_lab import GridFunction, grid_from_callable
 from .errors import (AdmissibilityError, ConditionError, DomainError, GeometryError)
 
 _TRUNCATION_CAP = 1.0
@@ -195,6 +195,21 @@ def build_v(p: RadialProfile, grid: GridFunction) -> GridFunction:
     return GridFunction(dim=grid.dim, shape=grid.shape, spacing=grid.spacing,
                         center=grid.center, domain_radius=grid.domain_radius,
                         values=vals.reshape(grid.shape))
+
+
+def capped_bump(p: RadialProfile, points_per_axis: int,
+                centre: tuple = (0.0, 0.0)) -> GridFunction:
+    """Grid of min(1, u(|x - centre|)) over the unit ball, in len(centre) dimensions.
+
+    points_per_axis samples span [-1, 1] on each axis; samples outside the
+    ball are NaN, and a sample at the centre itself takes the cap 1.
+    """
+    centre = np.asarray(centre, dtype=np.float64)
+
+    def vals(pts):
+        r = np.sqrt(((pts - centre) ** 2).sum(axis=1))
+        return np.minimum(_TRUNCATION_CAP, _u_profile(p, r))
+    return grid_from_callable(vals, len(centre), points_per_axis, domain_radius=1.0)
 
 
 def _check_divergence_condition(n: int, ratio: float, epsilon: float) -> bool:

@@ -17,11 +17,15 @@ so Theta_i is the least c_q/c_v over the inward facet normals at sample i
 (see theta_field), with both ends checked against the data by an LP-duality
 certificate pair.
 
-The convex envelope of the discrete point cloud is computed exactly: the
-sampled points are lifted to graph space, qhull builds their convex hull, and
-the envelope at every sample is the maximum over the supporting planes of the
+The convex envelope of the discrete point cloud is computed exactly, by one
+routine for every dimension d = 1, 2, 3: the sampled points are lifted to
+graph space, qhull builds their convex hull in R^(d+1), and the envelope at
+every sample is the maximum over the supporting planes of the
 downward-facing facets (each such plane minorizes the hull function globally
-and is attained on its facet). An iterated direction-sweep scheme was
+and is attained on its facet). A wholly flat lift is one facet whose vertices
+are the x-hull corners, and its envelope is the data. qhull is not joggled:
+if it raises on a lift that is not flat, or the samples do not span R^d, the
+result is a GeometryError. An iterated direction-sweep scheme was
 considered and rejected: it converges to the separately-convex envelope,
 which on generic 2-D data sits order-one above the true envelope.
 """
@@ -297,31 +301,46 @@ class DecayReport:
     theoretical_ratio: float
 
 
-def _hull_envelope(points: np.ndarray, lifted: np.ndarray, need_values: bool):
-    """Exact lower convex hull of the lifted cloud.
+def _corners(points: np.ndarray) -> np.ndarray:
+    """Indices of the x-hull vertices; GeometryError if the points do not span R^d."""
+    n, d = points.shape
+    if d == 1 or n == 1:
+        return np.unique([points[:, 0].argmin(), points[:, 0].argmax()])
+    try:
+        return ConvexHull(points).vertices
+    except QhullError as exc:
+        raise GeometryError(f"the {n} samples inside the ball do not span R^{d}") from exc
 
-    Returns (env, on_hull): env is the hull function at each input point
-    (None when need_values is False), on_hull marks points that are vertices
-    of some downward facet. Affine-degenerate clouds (the lift lies in a
-    hyperplane) short-circuit: the envelope is the data itself.
+
+def _affine_fit(A: np.ndarray, y: np.ndarray):
+    """Least-squares coefficients of y on the columns of A, or None if they miss y."""
+    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    if np.abs(A @ coef - y).max() > _AFFINE_RTOL * max(1.0, float(np.abs(y).max())):
+        return None
+    return coef
+
+
+def _contact(points: np.ndarray, values: np.ndarray, a: float, need_values: bool):
+    """Lower hull of values + (a/2)|x|^2: (a-convex envelope or None, contact mask).
+
+    The mask marks vertices of downward facets; the envelope at each sample is
+    the largest supporting plane of those facets. A flat lift is one facet
+    whose vertices are the x-hull corners, and its envelope is the data.
     """
     n, d = points.shape
-    cloud = np.column_stack([points, lifted])
+    shift = 0.5 * a * (points ** 2).sum(axis=1)
+    lifted = values + shift
+    on_hull = np.zeros(n, dtype=bool)
     try:
-        hull = ConvexHull(cloud)
-    except QhullError:
-        # flat input: check the lift really is affine in the coordinates
-        A = np.column_stack([points, np.ones(n)])
-        coef, *_ = np.linalg.lstsq(A, lifted, rcond=None)
-        scale = max(1.0, float(np.abs(lifted).max()))
-        if np.abs(A @ coef - lifted).max() <= _AFFINE_RTOL * scale:
-            env = lifted.copy() if need_values else None
-            return env, np.ones(n, dtype=bool)
-        hull = ConvexHull(cloud, qhull_options="QJ")
+        hull = ConvexHull(np.column_stack([points, lifted]))
+    except QhullError as exc:
+        if _affine_fit(np.column_stack([points, np.ones(n)]), lifted) is None:
+            raise GeometryError(f"qhull failed on a lift of {n} samples that is not flat") from exc
+        on_hull[_corners(points)] = True
+        return (lifted - shift if need_values else None), on_hull
 
     eqs = hull.equations
     lower = eqs[:, d] < -_VERTICAL_TOL
-    on_hull = np.zeros(n, dtype=bool)
     if lower.any():
         on_hull[np.unique(hull.simplices[lower])] = True
     if not need_values:
@@ -338,40 +357,7 @@ def _hull_envelope(points: np.ndarray, lifted: np.ndarray, need_values: bool):
         env = np.maximum(env, z.max(axis=0))
     env = np.minimum(env, lifted)
     env[on_hull] = lifted[on_hull]
-    return env, on_hull
-
-
-def _hull_envelope_1d(x: np.ndarray, y: np.ndarray, need_values: bool):
-    order = np.argsort(x, kind="stable")
-    xs, ys = x[order], y[order]
-    keep = [0]
-    for j in range(1, len(xs)):
-        while len(keep) >= 2:
-            i0, i1 = keep[-2], keep[-1]
-            # pop i1 when it lies on or above the chord i0 -> j
-            if (ys[i1] - ys[i0]) * (xs[j] - xs[i1]) >= (ys[j] - ys[i1]) * (xs[i1] - xs[i0]):
-                keep.pop()
-            else:
-                break
-        keep.append(j)
-    on_hull = np.zeros(len(x), dtype=bool)
-    on_hull[order[keep]] = True
-    if not need_values:
-        return None, on_hull
-    env_sorted = np.interp(xs, xs[keep], ys[keep])
-    env = np.empty_like(y)
-    env[order] = np.minimum(env_sorted, ys)
-    return env, on_hull
-
-
-def _contact(points: np.ndarray, values: np.ndarray, a: float, need_values: bool):
-    """Lower hull of values + (a/2)|x|^2: (a-convex envelope or None, contact mask)."""
-    shift = 0.5 * a * (points ** 2).sum(axis=1)
-    if points.shape[1] == 1:
-        env, on_hull = _hull_envelope_1d(points[:, 0], values + shift, need_values)
-    else:
-        env, on_hull = _hull_envelope(points, values + shift, need_values)
-    return (None if env is None else env - shift), on_hull
+    return env - shift, on_hull
 
 
 def convex_envelope(w: GridFunction) -> GridFunction:
@@ -467,13 +453,7 @@ def _exact_theta(points: np.ndarray, values: np.ndarray):
     """Certified (lo, hi) bounds on Theta per sample, and the engine's counters."""
     n, d = points.shape
     q = 0.5 * (points ** 2).sum(axis=1)
-    if d == 1 or n == 1:
-        corners = np.unique([points[:, 0].argmin(), points[:, 0].argmax()])
-    else:
-        try:
-            corners = ConvexHull(points).vertices
-        except QhullError as exc:
-            raise GeometryError(f"the {n} samples inside the ball do not span R^{d}") from exc
+    corners = _corners(points)
     stats = dict(hull_points=n, hull_facets=0, contact_facets=0, qhull_option=-1,
                  fallbacks=0, certified=n)
     if len(corners) == n:
@@ -484,10 +464,14 @@ def _exact_theta(points: np.ndarray, values: np.ndarray):
         try:
             hull = ConvexHull(cloud, qhull_options=option)
         except QhullError:
-            flat = _flat_theta(points, values, q, corners) if k == 0 else None
-            if flat is not None:
+            # a flat lift, v = b.x + c q + e: Theta = max(0, -c) off the corners
+            coef = (_affine_fit(np.column_stack([points, q, np.ones(n)]), values)
+                    if k == 0 else None)
+            if coef is not None:
+                theta = np.full(n, max(0.0, -float(coef[-2])))
+                theta[corners] = 0.0
                 stats["fallbacks"] = 1
-                return flat, flat, stats
+                return theta, theta, stats
             continue
         lo, hi, failed, contact_facets = _certified_theta(hull, cloud, d, corners)
         if failed == 0:
@@ -496,17 +480,6 @@ def _exact_theta(points: np.ndarray, values: np.ndarray):
             return lo, hi, stats
     raise GeometryError(f"Theta left {failed} of {n} samples uncertified with qhull options"
                         f" {' and '.join(_QHULL_OPTIONS)}")
-
-
-def _flat_theta(points, values, q, corners):
-    """Theta of a cloud with v = b.x + c q + e (to _AFFINE_RTOL), else None."""
-    A = np.column_stack([points, q, np.ones(len(q))])
-    coef, *_ = np.linalg.lstsq(A, values, rcond=None)
-    if np.abs(A @ coef - values).max() > _AFFINE_RTOL * max(1.0, float(np.abs(values).max())):
-        return None
-    theta = np.full(len(q), max(0.0, -float(coef[-2])))
-    theta[corners] = 0.0
-    return theta
 
 
 def _certified_theta(hull, cloud: np.ndarray, d: int, corners: np.ndarray):

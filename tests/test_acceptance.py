@@ -258,7 +258,7 @@ def test_criterion_09_theta_recovers_paraboloid_opening():
                                2, 129, domain_radius=1.0)
     tf = h.theta_field(par, a_max=32.0)
     if not tf.converged[tf.interior].all():
-        failures.append("bisection failed to converge somewhere in the interior")
+        failures.append("theta exceeds a_max somewhere in the interior")
     dev = float(np.abs(tf.theta[tf.interior] - a0).max())
     band = max(0.02 * a0, tol)
     if dev > band:

@@ -2,8 +2,10 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -274,9 +276,12 @@ def test_config_value_gets_its_flag_type(tmp_path, capsys):
 
 
 def test_module_entry_point():
+    # the child finds the package where this process imported it from
+    src = str(Path(h.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "hessint.cli", "bounds", "--n", "3", "--ratio", "2",
          "--reproducible"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "epsilon_upper" in proc.stdout

@@ -186,6 +186,20 @@ def test_build_v_geometry_error():
         h.build_v(h.RadialProfile(3, 1.0, 0.3, 1.0, 2.0), grid)
 
 
+def test_capped_bump_matches_scalar_profile():
+    for prof, n, centre in ((P1, 33, (0.0, 0.0)), (P1, 33, (1.0 / 32.0, -1.0 / 32.0)),
+                            (h.RadialProfile(3, 3.0, 0.35, 1.0, 2.0), 9, (0.0, 0.0, 0.0))):
+        g = h.capped_bump(prof, n, centre)
+        assert g.dim == len(centre) and g.shape == (n,) * len(centre)
+        inside = g.inside_mask()
+        assert np.isnan(g.values[~inside]).all()
+        r = np.sqrt(((g.points() - np.asarray(centre)) ** 2).sum(axis=1))[inside.ravel()]
+        want = [1.0 if ri == 0.0 else min(1.0, h.u_value(prof, float(ri))) for ri in r]
+        assert np.allclose(g.values[inside], want, rtol=1e-15, atol=0.0)
+        assert (g.values[inside][r >= prof.R] == 0.0).all()
+        assert (g.values[inside][r == 0.0] == 1.0).all()
+
+
 def test_lattice_admissible_radius():
     for n, m in itertools.product([2, 3, 5], [1, 2, 6]):
         R = h.lattice_admissible_radius(n, m)

@@ -11,7 +11,6 @@ import hessint as h
 import hessint.envelope_lab as lab
 from _oracles import (CertificateError, envelope_1d_bruteforce, envelope_certificates,
                       lp_envelope, theta_lp)
-from conftest import bump_slice
 
 RNG = np.random.default_rng(20260819)
 
@@ -253,13 +252,23 @@ def test_a_convex_envelope_of_zero():
     assert res.opening == 3.0
 
 
+def _corner_mask(pts):
+    corners = np.zeros(len(pts), dtype=bool)
+    if pts.shape[1] == 1:
+        corners[[pts[:, 0].argmin(), pts[:, 0].argmax()]] = True
+    else:
+        corners[ConvexHull(pts).vertices] = True
+    return corners
+
+
 def test_a_convex_envelope_paraboloid_thresholds():
     a0 = 4.0
     g = h.grid_from_callable(lambda p: -(a0 / 2.0) * (p ** 2).sum(axis=1), 2, 33,
                              domain_radius=1.0)
     inside = g.inside_mask()
     at = h.a_convex_envelope(g, a0)
-    assert at.contact_mask[inside].all()
+    # the lift is flat at a0: one facet, whose vertices are the x-hull corners
+    assert np.array_equal(at.contact_mask[inside], _corner_mask(g.points()[inside.ravel()]))
 
     below = h.a_convex_envelope(g, a0 / 2.0)
     r = np.sqrt((g.points() ** 2).sum(axis=1)).reshape(g.shape)
@@ -268,6 +277,47 @@ def test_a_convex_envelope_paraboloid_thresholds():
     touched = below.contact_mask & inside
     assert touched.any()
     assert r[touched].min() >= 0.9  # contact survives only near the boundary ring
+
+
+def test_flat_lift_contact_is_corners_in_every_dimension():
+    # v = -(a0/2)|x|^2 + affine lifts flat at a0 and strictly convex above it
+    a0 = 3.0
+    for dim, n in ((1, 33), (2, 25), (3, 11)):
+        g = h.grid_from_callable(
+            lambda p: -(a0 / 2.0) * (p ** 2).sum(axis=1) + 0.3 * p[:, 0] - 0.2 * p[:, -1] + 1.0,
+            dim, n, domain_radius=1.0)
+        inside = g.inside_mask()
+        at = h.a_convex_envelope(g, a0)
+        assert np.array_equal(at.contact_mask[inside], _corner_mask(g.points()[inside.ravel()]))
+        assert np.abs(at.envelope[inside] - g.values[inside]).max() <= 1e-12
+        above = h.a_convex_envelope(g, a0 * (1.0 + 1e-9))
+        assert above.contact_mask[inside].all(), dim
+
+
+def test_qhull_failure_on_non_flat_lift_is_geometry_error(monkeypatch):
+    def hull(cloud, qhull_options=None):
+        raise QhullError("forced failure")
+    monkeypatch.setattr(lab, "ConvexHull", hull)
+    g = ridge_2d()
+    with pytest.raises(h.GeometryError, match="not flat"):
+        h.a_convex_envelope(g, 1.0)
+    with pytest.raises(h.GeometryError, match="not flat"):
+        h.decay_experiment(g, 1.0, 3, h.Ellipticity(2, 2.0, 1))
+
+
+def test_samples_not_spanning_space_are_geometry_error():
+    # on these grids only the two samples (0, ..., 0, +-1/2) lie inside the ball
+    for shape in ((3, 4), (3, 3, 4)):
+        g = h.GridFunction(dim=len(shape), shape=shape, spacing=1.0,
+                           center=(0.0,) * len(shape), domain_radius=0.6,
+                           values=np.zeros(shape))
+        assert g.inside_mask().sum() == 2
+        for run in (lambda: h.a_convex_envelope(g, 1.0),
+                    lambda: h.convex_envelope(g),
+                    lambda: h.theta_field(g, a_max=4.0),
+                    lambda: h.decay_experiment(g, 1.0, 3, h.Ellipticity(2, 2.0, 1))):
+            with pytest.raises(h.GeometryError, match="do not span"):
+                run()
 
 
 def test_contact_mask_matches_oracle_gap():
@@ -390,7 +440,7 @@ def test_theta_boundary_flagged_not_interior():
 
 @pytest.fixture(scope="module")
 def bump33():
-    return bump_slice(h.RadialProfile(3, 1.0, 0.35, 1.0, 2.0), 33)
+    return h.capped_bump(h.RadialProfile(3, 1.0, 0.35, 1.0, 2.0), 33)
 
 
 def _assert_matches_lp(tf, sample):
@@ -406,8 +456,8 @@ def _assert_matches_lp(tf, sample):
 
 
 def test_theta_matches_lp_oracle(bump33):
-    shifted = bump_slice(h.RadialProfile(3, 1.0, 0.35, 1.0, 2.0), 65,
-                         centre=(1.0 / 64.0, -1.0 / 64.0))
+    shifted = h.capped_bump(h.RadialProfile(3, 1.0, 0.35, 1.0, 2.0), 65,
+                            centre=(1.0 / 64.0, -1.0 / 64.0))
     tf = h.theta_field(shifted, a_max=600.0)
     n_in = int(shifted.inside_mask().sum())
     _assert_matches_lp(tf, np.sort(RNG.choice(n_in, size=40, replace=False)))
@@ -430,7 +480,7 @@ def test_theta_matches_lp_oracle(bump33):
 
 def test_theta_matches_lp_oracle_in_3d():
     # the extremal 3-d profile, alpha = (n-1) Lambda/lambda - 1: a 5-d hull
-    g = bump_slice(h.RadialProfile(3, 3.0, 0.35, 1.0, 2.0), 17, centre=(0.0, 0.0, 0.0))
+    g = h.capped_bump(h.RadialProfile(3, 3.0, 0.35, 1.0, 2.0), 17, centre=(0.0, 0.0, 0.0))
     tf = h.theta_field(g, a_max=600.0)
     assert tf.stats["certified"] == int(g.inside_mask().sum())
     _assert_matches_lp(tf, np.sort(RNG.choice(tf.stats["hull_points"], size=40, replace=False)))
@@ -451,12 +501,7 @@ def test_theta_without_lifted_hull():
             dim, 21, domain_radius=1.0)
         tf = h.theta_field(g, a_max=8.0)
         inside = g.inside_mask()
-        pts = g.points()[inside.ravel()]
-        corners = np.zeros(len(pts), dtype=bool)
-        if dim == 1:
-            corners[[0, -1]] = True
-        else:
-            corners[ConvexHull(pts).vertices] = True
+        corners = _corner_mask(g.points()[inside.ravel()])
         theta = tf.theta[inside]
         assert np.abs(theta[~corners] - 3.0).max() <= 1e-9
         assert (theta[corners] == 0.0).all()
@@ -591,7 +636,11 @@ def test_decay_paraboloid_crossing():
     assert np.allclose(rep.openings, [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0])
     assert (np.diff(rep.counts) <= 1e-12).all()
     assert (rep.counts[:4] > 0.0).all()
-    assert (rep.counts[4:] == 0.0).all()  # openings >= a0 reach contact everywhere
+    # at a0 the lift is one flat facet: only the x-hull corners are in contact
+    inside = g.inside_mask().ravel()
+    corners = len(ConvexHull(g.points()[inside]).vertices)
+    assert rep.counts[4] == (inside.sum() - corners) * g.cell_measure
+    assert (rep.counts[5:] == 0.0).all()  # openings above a0 reach contact everywhere
     assert rep.counts[0] >= 0.9 * np.pi
     assert abs(rep.theoretical_ratio - (1.0 - h.c_star(h.Ellipticity(2, 2.0, 1)) / 4.0)) <= 1e-15
 
