@@ -53,6 +53,11 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _null_nan(record: dict) -> dict:
+    # strict JSON has no NaN: write null, as the grid format does
+    return {k: None if isinstance(v, float) and math.isnan(v) else v for k, v in record.items()}
+
+
 def _emit(cfg: RunConfig, rows: list[dict]) -> None:
     prov = dict(cfg.provenance)
     prov["command"] = cfg.command
@@ -61,7 +66,7 @@ def _emit(cfg: RunConfig, rows: list[dict]) -> None:
         prov["generated_at"] = datetime.now(timezone.utc).isoformat()
 
     if cfg.format == "json":
-        payload = {"provenance": prov, "rows": rows}
+        payload = {"provenance": _null_nan(prov), "rows": [_null_nan(r) for r in rows]}
         text = json.dumps(payload, indent=2, default=_fmt) + "\n"
     else:
         lines = [f"# {k}={_fmt(v)}" for k, v in prov.items()]
@@ -171,11 +176,11 @@ def cmd_theta(cfg: RunConfig) -> int:
     grid = lab.GridFunction.load(p["input"])
     p.pop("bisect_tol")  # accepted and ignored: Theta is exact
     tf = lab.theta_field(grid, p["a_max"])
-    restrict = p["restrict_radius"] if p.get("restrict_radius") else grid.domain_radius / 2.0
-    if p.get("t_grid"):
-        t_grid = np.asarray(_parse_floats(p["t_grid"]))
-    else:
+    restrict = grid.domain_radius / 2.0 if p["restrict_radius"] is None else p["restrict_radius"]
+    if p["t_grid"] is None:
         t_grid = np.geomspace(p["a_max"] / 1000.0, p["a_max"], 25)
+    else:
+        t_grid = np.asarray(_parse_floats(p["t_grid"]))
     tail = lab.tail_distribution(tf, restrict, t_grid)
     cfg.provenance.update({
         "grid_hash": grid.content_hash(),
@@ -233,14 +238,10 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="suppress the timestamp for byte-identical reruns")
     sub.add_argument("--config", default=None,
                      help="JSON file of parameter values; flags win")
-    sub.set_defaults(actions={a.dest: a for a in sub._actions})
+    sub.set_defaults(parser=sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # An optional parameter is declared with default=SUPPRESS, so an unset flag
-    # stays out of the namespace; its built-in default goes under the "builtin"
-    # key and is applied only after the --config file (flag > config > default).
-    # "actions" maps each dest to its action, whose type and choices check --config.
     ap = argparse.ArgumentParser(
         prog="hessint",
         description="Hessian integrability exponent bounds and grid experiments",
@@ -250,16 +251,14 @@ def build_parser() -> argparse.ArgumentParser:
     b = sp.add_parser("bounds", help="full bound report for one (n, ratio, k)")
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--ratio", type=float, required=True)
-    b.add_argument("--k", type=int, default=argparse.SUPPRESS)
-    b.set_defaults(builtin={"k": 1})
+    b.add_argument("--k", type=int, default=1)
     _add_common(b)
 
     s = sp.add_parser("sweep", help="bound table over n and ratio ranges")
     s.add_argument("--n-range", dest="n_range", required=True, help="e.g. 3:12 or 3,5,8")
     s.add_argument("--ratios", required=True, help="comma list, e.g. 1,1.5,2")
     s.add_argument("--k-rule", dest="k_rule", choices=("one", "half"),
-                   default=argparse.SUPPRESS, help="k = 1 (default) or k = max(1, n//2 - 1)")
-    s.set_defaults(builtin={"k_rule": "one"})
+                   default="one", help="k = 1 (default) or k = max(1, n//2 - 1)")
     _add_common(s)
 
     w = sp.add_parser("lambertw", help="evaluate a real Lambert W branch")
@@ -270,14 +269,13 @@ def build_parser() -> argparse.ArgumentParser:
     t = sp.add_parser("theta", help="minimal-opening field and tail distribution")
     t.add_argument("--input", required=True, help="grid header JSON")
     t.add_argument("--a-max", dest="a_max", type=float, required=True)
-    t.add_argument("--bisect-tol", dest="bisect_tol", type=float, default=argparse.SUPPRESS,
+    t.add_argument("--bisect-tol", dest="bisect_tol", type=float, default=None,
                    help="ignored, since Theta is computed exactly; removed with the next"
                         " benchmark revision")
-    t.add_argument("--restrict-radius", dest="restrict_radius", type=float,
-                   default=argparse.SUPPRESS)
-    t.add_argument("--t-grid", dest="t_grid", default=argparse.SUPPRESS,
+    t.add_argument("--restrict-radius", dest="restrict_radius", type=float, default=None,
+                   help="radius of the tail region (default half the domain radius)")
+    t.add_argument("--t-grid", dest="t_grid", default=None,
                    help="comma list of thresholds (default geometric)")
-    t.set_defaults(builtin={"bisect_tol": None, "restrict_radius": None, "t_grid": None})
     _add_common(t)
 
     d = sp.add_parser("decay", help="contact-set measure decay in the opening")
@@ -286,8 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--levels", type=int, required=True)
     d.add_argument("--n", type=int, required=True)
     d.add_argument("--ratio", type=float, required=True)
-    d.add_argument("--k", type=int, default=argparse.SUPPRESS)
-    d.set_defaults(builtin={"k": 1})
+    d.add_argument("--k", type=int, default=1)
     _add_common(d)
 
     c = sp.add_parser("counterexample", help="divergence scan of the L^eps lower bound")
@@ -299,16 +296,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     z = sp.add_parser("t0", help="decay-threshold maximizer of the barrier family")
     z.add_argument("--n", type=int, required=True)
-    z.add_argument("--ratio", type=float, default=argparse.SUPPRESS)
-    z.add_argument("--beta", type=float, default=argparse.SUPPRESS,
+    z.add_argument("--ratio", type=float, default=None)
+    z.add_argument("--beta", type=float, default=None,
                    help="report the ratio with t0 = n/beta instead")
-    z.set_defaults(builtin={"ratio": None, "beta": None})
     _add_common(z)
 
     return ap
 
 
-_COMMON_KEYS = {"output", "format", "reproducible", "config", "command", "builtin", "actions"}
+_COMMON_KEYS = {"output", "format", "reproducible", "config", "command", "parser"}
 
 
 def _config_value(action: argparse.Action, value):
@@ -323,18 +319,21 @@ def _config_value(action: argparse.Action, value):
     return out
 
 
-def _make_config(args: argparse.Namespace) -> RunConfig:
-    flags = {k: v for k, v in vars(args).items() if k not in _COMMON_KEYS}
-    params = dict(getattr(args, "builtin", {}))
+def _make_config(argv) -> RunConfig:
+    ap = build_parser()
+    args = ap.parse_args(argv)
     if args.config:
         loaded = json.loads(Path(args.config).read_text())
         if not isinstance(loaded, dict):
             raise DomainError("config file must hold a JSON object")
-        unknown = set(loaded) - set(params) - set(flags)
+        unknown = set(loaded) - (set(vars(args)) - _COMMON_KEYS)
         if unknown:
             raise DomainError(f"config contains unknown keys: {sorted(unknown)}")
-        params.update({k: _config_value(args.actions[k], v) for k, v in loaded.items()})
-    params.update(flags)
+        # each config value becomes its flag's default: a flag given in argv still wins
+        actions = {a.dest: a for a in args.parser._actions}
+        args.parser.set_defaults(**{k: _config_value(actions[k], v) for k, v in loaded.items()})
+        args = ap.parse_args(argv)
+    params = {k: v for k, v in vars(args).items() if k not in _COMMON_KEYS}
     if args.command == "t0" and params.get("ratio") is None and params.get("beta") is None:
         raise DomainError("t0 requires --ratio or --beta")
     return RunConfig(
@@ -347,10 +346,9 @@ def _make_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        cfg = _make_config(args)
-        return _COMMANDS[args.command](cfg)
+        cfg = _make_config(argv)
+        return _COMMANDS[cfg.command](cfg)
     except DegenerateData as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

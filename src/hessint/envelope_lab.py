@@ -36,7 +36,7 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -114,13 +114,13 @@ class GridFunction:
     def cell_measure(self) -> float:
         return self.spacing ** self.dim
 
+    def _header(self) -> dict:
+        return {"dim": self.dim, "shape": list(self.shape), "spacing": self.spacing,
+                "center": list(self.center), "domain_radius": self.domain_radius}
+
     def content_hash(self) -> str:
         h = hashlib.sha256()
-        head = json.dumps({
-            "dim": self.dim, "shape": list(self.shape), "spacing": self.spacing,
-            "center": list(self.center), "domain_radius": self.domain_radius,
-        }, sort_keys=True)
-        h.update(head.encode())
+        h.update(json.dumps(self._header(), sort_keys=True).encode())
         h.update(np.ascontiguousarray(self.values, dtype="<f8").tobytes())
         return h.hexdigest()
 
@@ -135,13 +135,7 @@ class GridFunction:
         path = Path(path)
         if inline is None:
             inline = self.values.size <= 4096
-        header = {
-            "dim": self.dim,
-            "shape": list(self.shape),
-            "spacing": self.spacing,
-            "center": list(self.center),
-            "domain_radius": self.domain_radius,
-        }
+        header = self._header()
         if inline:
             vals = self.values.ravel()
             header["payload"] = [None if not math.isfinite(x) else x for x in vals.tolist()]
@@ -230,8 +224,7 @@ def grid_from_callable(f, dim: int, points_per_axis: int, domain_radius: float =
                      domain_radius=domain_radius, values=np.zeros(shape))
     pts, _, inside = g._coords()
     vals = np.asarray(f(pts), dtype=np.float64).reshape(shape)
-    g.values = np.where(inside.reshape(shape), vals, np.nan)
-    return g
+    return replace(g, values=np.where(inside.reshape(shape), vals, np.nan))
 
 
 @dataclass
@@ -315,7 +308,8 @@ def _corners(points: np.ndarray) -> np.ndarray:
 def _affine_fit(A: np.ndarray, y: np.ndarray):
     """Least-squares coefficients of y on the columns of A, or None if they miss y."""
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    if np.abs(A @ coef - y).max() > _AFFINE_RTOL * max(1.0, float(np.abs(y).max())):
+    # a NaN residual (non-finite data) is a miss too
+    if not np.abs(A @ coef - y).max() <= _AFFINE_RTOL * max(1.0, float(np.abs(y).max())):
         return None
     return coef
 
@@ -323,9 +317,10 @@ def _affine_fit(A: np.ndarray, y: np.ndarray):
 def _contact(points: np.ndarray, values: np.ndarray, a: float, need_values: bool):
     """Lower hull of values + (a/2)|x|^2: (a-convex envelope or None, contact mask).
 
-    The mask marks vertices of downward facets; the envelope at each sample is
-    the largest supporting plane of those facets. A flat lift is one facet
-    whose vertices are the x-hull corners, and its envelope is the data.
+    The mask marks vertices of downward facets; the envelope is the lift at
+    those vertices and the largest supporting plane of those facets at every
+    other sample. A flat lift is one facet whose vertices are the x-hull
+    corners, and its envelope is the data.
     """
     n, d = points.shape
     shift = 0.5 * a * (points ** 2).sum(axis=1)
@@ -346,17 +341,19 @@ def _contact(points: np.ndarray, values: np.ndarray, a: float, need_values: bool
     if not need_values:
         return None, on_hull
 
-    env = np.full(n, -np.inf)
+    off = ~on_hull
+    off_pts = points[off]
+    best = np.full(len(off_pts), -np.inf)
     E = eqs[lower]
     # z(x) = -(offset + n_x . x) / n_z, maximized over downward facets;
     # blockwise to bound the temporary at ~8 MB
-    block = max(1, int(1_000_000 // max(1, n)))
+    block = max(1, int(1_000_000 // max(1, len(off_pts))))
     for s in range(0, len(E), block):
         chunk = E[s:s + block]
-        z = -(chunk[:, :d] @ points.T + chunk[:, d + 1][:, None]) / chunk[:, d][:, None]
-        env = np.maximum(env, z.max(axis=0))
-    env = np.minimum(env, lifted)
-    env[on_hull] = lifted[on_hull]
+        z = -(chunk[:, :d] @ off_pts.T + chunk[:, d + 1][:, None]) / chunk[:, d][:, None]
+        best = np.maximum(best, z.max(axis=0))
+    env = lifted.copy()
+    env[off] = np.minimum(best, lifted[off])
     return env - shift, on_hull
 
 
@@ -366,12 +363,7 @@ def convex_envelope(w: GridFunction) -> GridFunction:
     The envelope is taken with respect to the discrete point set; it is
     idempotent and equals w for convex data. Samples outside the ball stay NaN.
     """
-    pts, _, inside = w._coords()
-    env_in, _ = _contact(pts[inside], w.values.ravel()[inside], 0.0, need_values=True)
-    out = np.full(w.values.size, np.nan)
-    out[inside] = env_in
-    return GridFunction(dim=w.dim, shape=w.shape, spacing=w.spacing, center=w.center,
-                        domain_radius=w.domain_radius, values=out.reshape(w.shape))
+    return replace(w, values=a_convex_envelope(w, 0.0).envelope)
 
 
 def a_convex_envelope(v: GridFunction, a: float) -> EnvelopeResult:
@@ -559,8 +551,11 @@ def tail_distribution(theta: ThetaField, restrict_radius: float,
 
     Non-converged points count as exceeding every threshold (their true
     Theta is only known to exceed a_max); thresholds above a_max would be
-    uninformative there and trigger a warning.
+    uninformative there and trigger a warning. Raises DomainError unless
+    restrict_radius is finite and positive.
     """
+    if not (restrict_radius > 0.0 and math.isfinite(restrict_radius)):
+        raise DomainError(f"restrict_radius must be finite and positive, got {restrict_radius}")
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if t_grid.ndim != 1 or len(t_grid) < 2 or np.any(np.diff(t_grid) <= 0) or np.any(t_grid <= 0):
         raise DomainError("t_grid must be a strictly increasing positive 1-D array")

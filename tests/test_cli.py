@@ -114,6 +114,18 @@ def test_output_file(tmp_path, capsys):
     assert len(rows) == 1
 
 
+def test_json_writes_nan_as_null(capsys):
+    # refined_lower is NaN for k >= n/2; strict JSON has no NaN literal
+    code, out, _ = run_cli(capsys, "bounds", "--n", "4", "--ratio", "2", "--k", "2",
+                           "--format", "json", "--reproducible")
+    assert code == 0
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    doc = json.loads(out, parse_constant=reject)
+    assert doc["rows"][0]["refined_lower"] is None
+
+
 def test_t0_beta_round_trip_row(capsys):
     code, out, _ = run_cli(capsys, "t0", "--n", "3", "--beta", "2", "--reproducible")
     assert code == 0
@@ -181,6 +193,16 @@ def test_theta_command(tmp_path, capsys):
     # theta = 4 everywhere: full measure below, zero above
     assert measures[0] > 0.7
     assert measures[-1] == 0.0
+
+
+@pytest.mark.parametrize("radius", ["0", "-0.5", "nan"])
+def test_theta_bad_restrict_radius_is_usage_error(tmp_path, capsys, radius):
+    grid_path = tmp_path / "g.json"
+    h.grid_from_callable(lambda p: -(p ** 2).sum(axis=1), 2, 9, domain_radius=1.0).save(grid_path)
+    code, _, err = run_cli(capsys, "theta", "--input", str(grid_path), "--a-max", "4",
+                           f"--restrict-radius={radius}")
+    assert code == 2
+    assert "restrict_radius" in err
 
 
 def test_theta_missing_grid_is_usage_error(tmp_path, capsys):

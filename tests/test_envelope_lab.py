@@ -48,6 +48,24 @@ def test_grid_from_callable_masks_outside():
     assert np.isnan(g.values[~inside]).all()
 
 
+def test_grid_from_callable_rejects_non_finite_inside():
+    def one_inf(p):
+        v = -(p ** 2).sum(axis=1)
+        v[len(v) // 2] = np.inf  # the centre sample
+        return v
+    with pytest.raises(h.GridFormatError):
+        h.grid_from_callable(one_inf, 2, 17, domain_radius=1.0)
+
+
+def test_theta_of_non_finite_values_is_geometry_error():
+    # values changed after construction skip the grid's checks; Theta must
+    # not certify such a cloud as flat
+    g = h.grid_from_callable(lambda p: -(p ** 2).sum(axis=1), 2, 17, domain_radius=1.0)
+    g.values[8, 8] = np.inf
+    with pytest.raises(h.GeometryError):
+        h.theta_field(g, 10.0)
+
+
 def test_save_load_inline(tmp_path):
     g = h.grid_from_callable(lambda p: (p ** 2).sum(axis=1), 2, 9, domain_radius=1.0)
     path = tmp_path / "g.json"
