@@ -1,11 +1,14 @@
 """Command-line interface: bound reports, sweeps, and grid experiments.
 
-Every command writes CSV (default) or JSON to --output or stdout. CSV floats
-carry 17 significant digits; a provenance block (parameters, tolerances, grid
-hash) precedes the header as '#'-prefixed comment lines, or sits under the
-"provenance" key in JSON. Identical invocations produce byte-identical files
-under --reproducible, which suppresses the timestamp. Parameters take the
-value of their flag, else of the --config file, else the built-in default.
+Each command takes the parameter dict and returns its rows and its own
+provenance; `main` parses argv, runs the command and writes the result once.
+Output is CSV (default) or JSON, to --output or stdout. CSV floats carry 17
+significant digits; a provenance block (the command's own keys, parameters,
+and the hessint, numpy and scipy versions) precedes the header as '#'-prefixed
+comment lines, or sits under the "provenance" key in JSON. Identical
+invocations produce byte-identical files under --reproducible, which
+suppresses the timestamp. Parameters take the value of their flag, else of the
+--config file, else the built-in default.
 
 Exit codes: 0 success, 2 domain/validation/I-O failure, 3 degenerate data.
 """
@@ -16,12 +19,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+import scipy
 
+from . import __version__
 from . import counterexample as cx
 from . import envelope_lab as lab
 from . import exponent_bounds as xb
@@ -31,18 +35,6 @@ from .errors import (AdmissibilityError, ConditionError, DegenerateData, DomainE
 
 _USAGE_ERRORS = (DomainError, OptimizationError, GeometryError, ConditionError,
                  AdmissibilityError, GridFormatError, OSError, ValueError)
-
-
-@dataclass
-class RunConfig:
-    """One validated invocation: command, parameters, output destination."""
-
-    command: str
-    parameters: dict
-    output_path: str | None = None
-    format: str = "csv"
-    reproducible: bool = False
-    provenance: dict = field(default_factory=dict)
 
 
 def _fmt(x) -> str:
@@ -58,14 +50,15 @@ def _null_nan(record: dict) -> dict:
     return {k: None if isinstance(v, float) and math.isnan(v) else v for k, v in record.items()}
 
 
-def _emit(cfg: RunConfig, rows: list[dict]) -> None:
-    prov = dict(cfg.provenance)
-    prov["command"] = cfg.command
-    prov.update({k: v for k, v in sorted(cfg.parameters.items()) if v is not None})
-    if not cfg.reproducible:
+def _emit(args: argparse.Namespace, params: dict, rows: list[dict], prov: dict) -> None:
+    prov["command"] = args.command
+    prov.update({k: v for k, v in sorted(params.items()) if v is not None})
+    prov.update(hessint_version=__version__, numpy_version=np.__version__,
+                scipy_version=scipy.__version__)
+    if not args.reproducible:
         prov["generated_at"] = datetime.now(timezone.utc).isoformat()
 
-    if cfg.format == "json":
+    if args.format == "json":
         payload = {"provenance": _null_nan(prov), "rows": [_null_nan(r) for r in rows]}
         text = json.dumps(payload, indent=2, default=_fmt) + "\n"
     else:
@@ -77,8 +70,8 @@ def _emit(cfg: RunConfig, rows: list[dict]) -> None:
                 lines.append(",".join(_fmt(row[c]) for c in cols))
         text = "\n".join(lines) + "\n"
 
-    if cfg.output_path:
-        Path(cfg.output_path).write_text(text)
+    if args.output:
+        Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -97,15 +90,12 @@ def _parse_floats(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x]
 
 
-def cmd_bounds(cfg: RunConfig) -> int:
-    p = cfg.parameters
+def cmd_bounds(p: dict) -> tuple[list[dict], dict]:
     rep = xb.compute_report(xb.Ellipticity(p["n"], p["ratio"], p["k"]))
-    _emit(cfg, [vars(rep)])
-    return 0
+    return [vars(rep)], {}
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    p = cfg.parameters
+def cmd_sweep(p: dict) -> tuple[list[dict], dict]:
     rows = []
     for n in _parse_range(p["n_range"]):
         for ratio in _parse_floats(p["ratios"]):
@@ -122,24 +112,20 @@ def cmd_sweep(cfg: RunConfig) -> int:
                 if not math.isnan(rep.refined_lower) else math.nan
             )
             rows.append(row)
-    _emit(cfg, rows)
-    return 0
+    return rows, {}
 
 
-def cmd_lambertw(cfg: RunConfig) -> int:
-    p = cfg.parameters
+def cmd_lambertw(p: dict) -> tuple[list[dict], dict]:
     solver = sf.lambert_w0 if p["branch"] == 0 else sf.lambert_wm1
     rows = []
     for z in _parse_floats(p["z"]):
         bv = solver(z)
         rows.append({"z": z, "branch": p["branch"], "value": bv.value,
                      "residual": bv.residual})
-    _emit(cfg, rows)
-    return 0
+    return rows, {}
 
 
-def cmd_t0(cfg: RunConfig) -> int:
-    p = cfg.parameters
+def cmd_t0(p: dict) -> tuple[list[dict], dict]:
     n = p["n"]
     if p.get("beta") is not None:
         ratio = xb.rho_for_beta(n, p["beta"])
@@ -149,30 +135,24 @@ def cmd_t0(cfg: RunConfig) -> int:
     else:
         x0, t0 = xb.t0_maximizer(n, p["ratio"])
         rows = [{"n": n, "ratio": p["ratio"], "x0": x0, "t0": t0}]
-    _emit(cfg, rows)
-    return 0
+    return rows, {}
 
 
-def cmd_counterexample(cfg: RunConfig) -> int:
-    p = cfg.parameters
+def cmd_counterexample(p: dict) -> tuple[list[dict], dict]:
     scan = cx.divergence_scan(p["n"], p["ratio"], p["eps"], _parse_range(p["mrange"]))
-    cfg.provenance["condition_ok"] = scan.condition_ok
     if scan.condition_ok:
-        cfg.provenance["alpha"] = scan.alpha
-        cfg.provenance["fit_exponent"] = scan.fit_exponent
-        cfg.provenance["fit_r_squared"] = scan.fit_r_squared
+        prov = {"condition_ok": True, "alpha": scan.alpha,
+                "fit_exponent": scan.fit_exponent, "fit_r_squared": scan.fit_r_squared}
     else:
-        cfg.provenance["note"] = scan.note
+        prov = {"condition_ok": False, "note": scan.note}
     rows = [
         {"m": int(m), "R": float(R), "lower_bound": float(b)}
         for m, R, b in zip(scan.m_values, scan.R_sequence, scan.lower_bounds)
     ]
-    _emit(cfg, rows)
-    return 0
+    return rows, prov
 
 
-def cmd_theta(cfg: RunConfig) -> int:
-    p = cfg.parameters
+def cmd_theta(p: dict) -> tuple[list[dict], dict]:
     grid = lab.GridFunction.load(p["input"])
     p.pop("bisect_tol")  # accepted and ignored: Theta is exact
     tf = lab.theta_field(grid, p["a_max"])
@@ -182,63 +162,43 @@ def cmd_theta(cfg: RunConfig) -> int:
     else:
         t_grid = np.asarray(_parse_floats(p["t_grid"]))
     tail = lab.tail_distribution(tf, restrict, t_grid)
-    cfg.provenance.update({
+    prov = {
         "grid_hash": grid.content_hash(),
         "restrict_radius": restrict,
         "fitted_exponent": tail.fitted_exponent,
         "converged_fraction": float(tf.converged[grid.inside_mask()].mean()),
-    })
-    cfg.provenance.update({f"theta_{k}": v for k, v in tf.stats.items()})
+    }
+    prov.update({f"theta_{k}": v for k, v in tf.stats.items()})
     rows = [{"t": float(t), "measure": float(m)}
             for t, m in zip(tail.thresholds, tail.measures)]
-    _emit(cfg, rows)
-    return 0
+    return rows, prov
 
 
-def cmd_decay(cfg: RunConfig) -> int:
-    p = cfg.parameters
+def cmd_decay(p: dict) -> tuple[list[dict], dict]:
     grid = lab.GridFunction.load(p["input"])
     e = xb.Ellipticity(p["n"], p["ratio"], p["k"])
-    cfg.provenance["grid_hash"] = grid.content_hash()
+    prov = {"grid_hash": grid.content_hash()}
     try:
         rep = lab.decay_experiment(grid, p["delta"], p["levels"], e)
     except DegenerateData as exc:
         rep = exc.report
-        cfg.provenance["warning"] = str(exc)
+        prov["warning"] = str(exc)
         print(f"warning: {exc}", file=sys.stderr)
-        _emit_decay(cfg, rep)
-        return 3
-    _emit_decay(cfg, rep)
-    return 0
-
-
-def _emit_decay(cfg: RunConfig, rep: lab.DecayReport) -> None:
-    cfg.provenance["empirical_ratio"] = rep.empirical_ratio
-    cfg.provenance["theoretical_ratio"] = rep.theoretical_ratio
+    prov["empirical_ratio"] = rep.empirical_ratio
+    prov["theoretical_ratio"] = rep.theoretical_ratio
     rows = [{"j": j, "opening": float(a), "count_measure": float(c)}
             for j, (a, c) in enumerate(zip(rep.openings, rep.counts))]
-    _emit(cfg, rows)
+    return rows, prov
 
 
-_COMMANDS = {
-    "bounds": cmd_bounds,
-    "sweep": cmd_sweep,
-    "lambertw": cmd_lambertw,
-    "theta": cmd_theta,
-    "decay": cmd_decay,
-    "counterexample": cmd_counterexample,
-    "t0": cmd_t0,
-}
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, run) -> None:
     sub.add_argument("--output", default=None, help="output file (default stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--reproducible", action="store_true",
                      help="suppress the timestamp for byte-identical reruns")
     sub.add_argument("--config", default=None,
                      help="JSON file of parameter values; flags win")
-    sub.set_defaults(parser=sub)
+    sub.set_defaults(parser=sub, run=run)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -252,19 +212,19 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--ratio", type=float, required=True)
     b.add_argument("--k", type=int, default=1)
-    _add_common(b)
+    _add_common(b, cmd_bounds)
 
     s = sp.add_parser("sweep", help="bound table over n and ratio ranges")
     s.add_argument("--n-range", dest="n_range", required=True, help="e.g. 3:12 or 3,5,8")
     s.add_argument("--ratios", required=True, help="comma list, e.g. 1,1.5,2")
     s.add_argument("--k-rule", dest="k_rule", choices=("one", "half"),
                    default="one", help="k = 1 (default) or k = max(1, n//2 - 1)")
-    _add_common(s)
+    _add_common(s, cmd_sweep)
 
     w = sp.add_parser("lambertw", help="evaluate a real Lambert W branch")
     w.add_argument("--branch", type=int, choices=(0, -1), required=True)
     w.add_argument("--z", required=True, help="comma list of arguments")
-    _add_common(w)
+    _add_common(w, cmd_lambertw)
 
     t = sp.add_parser("theta", help="minimal-opening field and tail distribution")
     t.add_argument("--input", required=True, help="grid header JSON")
@@ -276,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="radius of the tail region (default half the domain radius)")
     t.add_argument("--t-grid", dest="t_grid", default=None,
                    help="comma list of thresholds (default geometric)")
-    _add_common(t)
+    _add_common(t, cmd_theta)
 
     d = sp.add_parser("decay", help="contact-set measure decay in the opening")
     d.add_argument("--input", required=True, help="grid header JSON")
@@ -285,26 +245,26 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--n", type=int, required=True)
     d.add_argument("--ratio", type=float, required=True)
     d.add_argument("--k", type=int, default=1)
-    _add_common(d)
+    _add_common(d, cmd_decay)
 
     c = sp.add_parser("counterexample", help="divergence scan of the L^eps lower bound")
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--ratio", type=float, required=True)
     c.add_argument("--eps", type=float, required=True)
     c.add_argument("--mrange", required=True, help="e.g. 3:10")
-    _add_common(c)
+    _add_common(c, cmd_counterexample)
 
     z = sp.add_parser("t0", help="decay-threshold maximizer of the barrier family")
     z.add_argument("--n", type=int, required=True)
     z.add_argument("--ratio", type=float, default=None)
     z.add_argument("--beta", type=float, default=None,
                    help="report the ratio with t0 = n/beta instead")
-    _add_common(z)
+    _add_common(z, cmd_t0)
 
     return ap
 
 
-_COMMON_KEYS = {"output", "format", "reproducible", "config", "command", "parser"}
+_COMMON_KEYS = {"output", "format", "reproducible", "config", "command", "parser", "run"}
 
 
 def _config_value(action: argparse.Action, value):
@@ -319,7 +279,7 @@ def _config_value(action: argparse.Action, value):
     return out
 
 
-def _make_config(argv) -> RunConfig:
+def _parse(argv) -> tuple[argparse.Namespace, dict]:
     ap = build_parser()
     args = ap.parse_args(argv)
     if args.config:
@@ -336,25 +296,18 @@ def _make_config(argv) -> RunConfig:
     params = {k: v for k, v in vars(args).items() if k not in _COMMON_KEYS}
     if args.command == "t0" and params.get("ratio") is None and params.get("beta") is None:
         raise DomainError("t0 requires --ratio or --beta")
-    return RunConfig(
-        command=args.command,
-        parameters=params,
-        output_path=args.output,
-        format=args.format,
-        reproducible=args.reproducible,
-    )
+    return args, params
 
 
 def main(argv=None) -> int:
     try:
-        cfg = _make_config(argv)
-        return _COMMANDS[cfg.command](cfg)
-    except DegenerateData as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        args, params = _parse(argv)
+        rows, prov = args.run(params)
+        _emit(args, params, rows, prov)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 3 if "warning" in prov else 0
 
 
 if __name__ == "__main__":

@@ -295,7 +295,7 @@ def divergence_scan(n: int, ratio: float, epsilon: float, m_range) -> Divergence
     """
     if not isinstance(n, int) or n < 3:
         raise DomainError(f"divergence_scan requires integer n >= 3, got {n}")
-    if ratio < 1.0:
+    if not ratio >= 1.0:
         raise DomainError(f"divergence_scan requires ratio >= 1, got {ratio}")
     if not (0.0 < epsilon and math.isfinite(epsilon)):
         raise DomainError(f"epsilon must be positive, got {epsilon}")

@@ -552,13 +552,15 @@ def tail_distribution(theta: ThetaField, restrict_radius: float,
     Non-converged points count as exceeding every threshold (their true
     Theta is only known to exceed a_max); thresholds above a_max would be
     uninformative there and trigger a warning. Raises DomainError unless
-    restrict_radius is finite and positive.
+    restrict_radius is finite and positive and t_grid is finite, positive and
+    strictly increasing.
     """
     if not (restrict_radius > 0.0 and math.isfinite(restrict_radius)):
         raise DomainError(f"restrict_radius must be finite and positive, got {restrict_radius}")
     t_grid = np.asarray(t_grid, dtype=np.float64)
-    if t_grid.ndim != 1 or len(t_grid) < 2 or np.any(np.diff(t_grid) <= 0) or np.any(t_grid <= 0):
-        raise DomainError("t_grid must be a strictly increasing positive 1-D array")
+    if (t_grid.ndim != 1 or len(t_grid) < 2 or not np.all(np.isfinite(t_grid))
+            or np.any(np.diff(t_grid) <= 0) or np.any(t_grid <= 0)):
+        raise DomainError("t_grid must be a strictly increasing, finite, positive 1-D array")
     g = theta.grid
     _, d2, inside = g._coords()
     region = ((d2 <= restrict_radius ** 2 + 1e-12) & inside).reshape(g.shape)

@@ -5,8 +5,10 @@ W solves W(z) e^{W(z)} = z. Two real branches exist: the principal branch W0
 for -1/e <= z < 0). Both meet at the branch point z = -1/e where W = -1.
 
 The solver uses a branch-appropriate seed, Halley iteration, a square-root
-(Puiseux) expansion inside a 1e-12 window around the branch point, and a
-bisection fallback on a guaranteed bracket if Halley ever fails to converge.
+(Puiseux) expansion inside a 1e-12 window around the branch point, Newton on
+w + log|w| = log|z| where w e^w would underflow (W-1 near 0) or overflow (W0
+near the top of the float range), and a bisection fallback on a guaranteed
+bracket if Halley ever fails to converge.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ _BRANCH_POINT = -_INV_E
 _BRANCH_WINDOW = 1e-12
 _MAX_HALLEY = 50
 _MAX_BISECT = 200
+# above this log z, Halley's w e^w can overflow; W0 is solved in log space
+_LOG_Z_MAX_HALLEY = 690.0
 
 # max of the bracket ratio -W_{-1}(-e^{-(u+1)})/(u+1), attained at u = e-2
 BRACKET_RATIO_MAX = math.e / (math.e - 1.0)
@@ -119,6 +123,11 @@ def lambert_w0(z: float) -> BranchValue:
         w = math.log1p(z) if z > -0.9 else z
     else:
         lz = math.log(z)
+        if lz > _LOG_Z_MAX_HALLEY:
+            # w e^w overflows inside Halley near the top of the float range;
+            # iterate on w + log(w) = log(z) instead
+            w = _log_newton(lz)
+            return BranchValue(w, Branch.PRINCIPAL, _residual(w, z))
         w = lz - math.log(lz) if lz > 1.0 else lz
     w, ok = _halley(w, z)
     if not ok:
@@ -178,11 +187,13 @@ def wm1_envelope_bounds(u: float) -> tuple[float, float]:
 
 
 def _log_newton(L: float) -> float:
-    # solve w + log(-w) = L for the w <= -1 root, L <= -4; the seed sits right
-    # of the root and g is increasing concave there, so Newton descends to it
-    w = L - math.log(-L)
+    # solve w + log|w| = L: for L <= -4 the w <= -1 root (W-1), for L > 690 the
+    # w > 0 root (W0). The seed L - log|L| sits right of the W-1 root and left
+    # of the W0 root; g is monotone and concave there, so Newton moves
+    # monotonically to it
+    w = L - math.log(abs(L))
     for _ in range(60):
-        g = w + math.log(-w) - L
+        g = w + math.log(abs(w)) - L
         dw = g / (1.0 + 1.0 / w)
         w -= dw
         if abs(dw) <= 1e-16 * abs(w):

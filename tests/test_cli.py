@@ -307,3 +307,43 @@ def test_module_entry_point():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "epsilon_upper" in proc.stdout
+
+
+def test_lambertw_near_the_top_of_the_float_range(capsys):
+    code, out, _ = run_cli(capsys, "lambertw", "--branch", "0", "--z", "1e308",
+                           "--reproducible")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert float(rows[0]["value"]) == h.lambert_w0(1e308).value
+
+
+@pytest.mark.parametrize("t_grid", ["14,nan,30,60,140", "14,30,60,140,inf"],
+                         ids=["nan", "inf"])
+def test_theta_non_finite_t_grid_is_usage_error(tmp_path, capsys, t_grid):
+    grid_path = tmp_path / "g.json"
+    h.grid_from_callable(lambda p: -(p ** 2).sum(axis=1), 2, 9, domain_radius=1.0).save(grid_path)
+    code, out, err = run_cli(capsys, "theta", "--input", str(grid_path), "--a-max", "4",
+                             "--t-grid", t_grid)
+    assert code == 2
+    assert out == ""
+    assert "t_grid" in err
+
+
+def test_counterexample_nan_ratio_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "counterexample", "--n", "3", "--ratio", "nan",
+                             "--eps", "0.7", "--mrange", "3:6")
+    assert code == 2
+    assert out == ""
+    assert "ratio" in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_provenance_records_versions(capsys, fmt):
+    import scipy
+    code, out, _ = run_cli(capsys, "bounds", "--n", "3", "--ratio", "2",
+                           "--format", fmt, "--reproducible")
+    assert code == 0
+    prov = json.loads(out)["provenance"] if fmt == "json" else parse_csv(out)[0]
+    assert prov["hessint_version"] == h.__version__
+    assert prov["numpy_version"] == np.__version__
+    assert prov["scipy_version"] == scipy.__version__

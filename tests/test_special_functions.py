@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hessint as h
+import hessint.special_functions as sf
 from _oracles import lambert_bisect
 
 
@@ -145,3 +147,28 @@ def test_ratio_a_past_underflow():
     # -e^{-(u+1)} underflows to zero here; the log-space path takes over
     a = h.ratio_a(800.0)
     assert 1.0 < a < 1.02
+
+
+@pytest.mark.parametrize("z, expected", [
+    (1e308, 702.6413620341068),
+    (sys.float_info.max, 703.2270331047702),  # mpmath, rounded to double
+])
+def test_w0_near_the_top_of_the_float_range(z, expected):
+    # w e^w overflows inside Halley here; the log-space solve takes over
+    bv = h.lambert_w0(z)
+    assert abs(bv.value - expected) <= 1e-15 * expected
+    assert math.isfinite(bv.residual)
+
+
+@pytest.mark.parametrize("branch, zs", [
+    (0, [-0.3, -0.1, 0.5, 3.0, 1e3, 1e6]),
+    (-1, [-0.3, -0.2, -0.05, -0.02]),
+], ids=["w0", "wm1"])
+def test_bisection_fallback_when_halley_fails(monkeypatch, branch, zs):
+    # Halley converges on every sampled input, so force it to report failure
+    monkeypatch.setattr(sf, "_halley", lambda w, z: (w, False))
+    solver = h.lambert_w0 if branch == 0 else h.lambert_wm1
+    for z in zs:
+        bv = solver(z)
+        assert abs(bv.value - lambert_bisect(z, branch)) <= 1e-13 * max(1.0, abs(bv.value)), z
+        assert bv.residual <= 1e-12 * max(1.0, abs(z))
