@@ -103,12 +103,13 @@ def cmd_sweep(p: dict) -> tuple[list[dict], dict]:
                 k = 1
             else:
                 k = max(1, n // 2 - 1)
-            rep = xb.compute_report(xb.Ellipticity(n, ratio, k))
+            e = xb.Ellipticity(n, ratio, k)
+            rep = xb.compute_report(e)
             # the report's fields in declaration order; dataclasses.asdict would
             # deep-copy each value, 15x slower per report
             row = dict(vars(rep))
             row["refined_lower_normalized"] = (
-                rep.refined_lower * ratio ** (n - k)
+                xb.refined_lower_normalized(e)
                 if not math.isnan(rep.refined_lower) else math.nan
             )
             rows.append(row)

@@ -27,6 +27,9 @@ from .errors import DomainError, OptimizationError
 from .special_functions import lambert_w0, lambert_wm1
 
 _SQRT5 = math.sqrt(5.0)
+# ln of the golden ratio (1+sqrt5)/2, which is asinh(1/2); the ring constant
+# 2 (1+sqrt5)^n/(3+sqrt5)^(n+1) of the global exponent is golden^-(n+2)
+_LN_GOLDEN = math.asinh(0.5)
 # gamma values for the maximizer scan of epsilon_interior: 1 - gamma geometric
 # from 1 - 1e-9 down to 2^-53, so the maximizer stays inside the scan as c -> 1
 _SCAN = 1.0 - np.geomspace(1.0 - 1e-9, 2.0 ** -53, 1000)
@@ -114,7 +117,15 @@ def c_lower_bound(e: Ellipticity) -> float:
     n, rho, k = e.n, e.ratio, e.k
     if not 2 * k < n:
         raise DomainError(f"c_lower_bound requires k < n/2, got k={k}, n={n}")
-    return rho ** (k - n) * (1.0 + ((n - 2 * k) / (n - k)) * (1.0 - 1.0 / rho)) ** (n - k)
+    base = _c_lower_base(e)
+    try:
+        return rho ** (k - n) * base ** (n - k)
+    except OverflowError:  # base^(n-k) past the float range; base <= rho
+        return (base / rho) ** (n - k)
+
+
+def _c_lower_base(e: Ellipticity) -> float:
+    return 1.0 + ((e.n - 2 * e.k) / (e.n - e.k)) * (1.0 - 1.0 / e.ratio)
 
 
 def phi(gamma: float, c: float, n: int) -> float:
@@ -240,6 +251,25 @@ def refined_lower(e: Ellipticity) -> float:
     return c_lower_bound(e) / (4.0 * math.log(e.n))
 
 
+def refined_lower_normalized(e: Ellipticity) -> float:
+    """refined_lower(e) rho^(n-k) = b^(n-k) / (4 ln n), the bound without its rho^(k-n).
+
+    Here b = 1 + ((n-2k)/(n-k))(1 - 1/rho) < 2. Computed as the product while
+    rho^(n-k) stays finite, from b otherwise; DomainError once b^(n-k) itself
+    leaves the float range, which needs n - k > 1023.
+    """
+    try:
+        return refined_lower(e) * e.ratio ** (e.n - e.k)
+    except OverflowError:
+        pass
+    try:
+        return _c_lower_base(e) ** (e.n - e.k) / (4.0 * math.log(e.n))
+    except OverflowError:
+        raise DomainError(
+            f"refined_lower_normalized exceeds the float range at n={e.n}, k={e.k}, "
+            f"ratio={e.ratio}") from None
+
+
 def abstract_lower(n: int, ratio: float) -> float:
     """Headline lower bound (1 + (2/3)(1 - 1/rho))^(n-1) (1/rho)^(n-1) / (4 ln n)."""
     if not isinstance(n, int) or n < 3:
@@ -269,9 +299,15 @@ def epsilon_global(e: Ellipticity) -> float:
     """Up-to-the-boundary exponent from the golden-ratio dilation chain.
 
     ln(1 - 2 c* (1+sqrt5)^n / (3+sqrt5)^(n+1)) / ln(2/(3+sqrt5)) with c* = c_star(e).
+    From n = 428 on, where (3+sqrt5)^(n+1) overflows, the quotient is taken as
+    c* exp(-(n+2) ln((1+sqrt5)/2)), within about n/3 ulps.
     """
     c = c_star(e)
-    num = math.log1p(-2.0 * c * (1.0 + _SQRT5) ** e.n / (3.0 + _SQRT5) ** (e.n + 1))
+    try:
+        ring = 2.0 * c * (1.0 + _SQRT5) ** e.n / (3.0 + _SQRT5) ** (e.n + 1)
+    except OverflowError:
+        ring = c * math.exp(-(e.n + 2) * _LN_GOLDEN)
+    num = math.log1p(-ring)
     den = math.log(2.0 / (3.0 + _SQRT5))
     return num / den
 
@@ -280,19 +316,28 @@ def global_rho_j(j: int, e: Ellipticity) -> float:
     """Dilation radius rho_j of the j-th golden-ratio ring.
 
     Solves ((1+d)/d) n (1+d)^2 rho_j = (1 - c d^n/(1+d)^(n+1))^(j+1) with
-    d = (1+sqrt5)/2 and c = pucci_c(e). Asserts 0 < rho_j < (1+d)^-2 and
-    d^4/(n^2 (1+d)^8) <= (1+d)^j rho_j^2; failure would be an implementation
-    error, not a parameter issue.
+    d = (1+sqrt5)/2 and c = pucci_c(e). From n = 737 on, where (1+d)^(n+1)
+    overflows, d^n/(1+d)^(n+1) is taken as exp(-(n+2) ln d). Raises
+    DomainError when rho_j underflows to 0 (j of order 10^4 and up). Asserts
+    rho_j < (1+d)^-2 and d^4/(n^2 (1+d)^8) <= (1+d)^j rho_j^2, the latter in
+    logarithms; failure would be an implementation error, not a bad
+    parameter.
     """
     if not isinstance(j, int) or j < 0:
         raise DomainError(f"global_rho_j requires integer j >= 0, got {j}")
     d = (1.0 + _SQRT5) / 2.0
     c = pucci_c(e)
     n = e.n
-    shrink = 1.0 - c * d ** n / (1.0 + d) ** (n + 1)
+    try:
+        shrink = 1.0 - c * d ** n / (1.0 + d) ** (n + 1)
+    except OverflowError:
+        shrink = 1.0 - c * math.exp(-(n + 2) * _LN_GOLDEN)
     rho_j = shrink ** (j + 1) * d / (n * (1.0 + d) ** 3)
-    assert 0.0 < rho_j < (1.0 + d) ** -2, f"rho_j={rho_j} outside (0, (1+d)^-2)"
-    assert d ** 4 / (n ** 2 * (1.0 + d) ** 8) <= (1.0 + d) ** j * rho_j ** 2, (
+    if rho_j == 0.0:
+        raise DomainError(f"rho_j underflows the float range at j={j}")
+    assert rho_j < (1.0 + d) ** -2, f"rho_j={rho_j} outside (0, (1+d)^-2)"
+    assert (math.log(d ** 4 / (n ** 2 * (1.0 + d) ** 8))
+            <= j * math.log1p(d) + 2.0 * math.log(rho_j)), (
         f"ring inequality fails at j={j}: rho_j={rho_j}"
     )
     return rho_j
@@ -303,7 +348,8 @@ def thresholds(alpha: float, e: Ellipticity) -> ThresholdData:
 
     j = min natural number with alpha/(eps - alpha) <= j; the interior and
     global t-thresholds and the dimensional scale factors follow. Requires
-    0 < alpha < epsilon_interior(e).
+    0 < alpha < epsilon_interior(e); DomainError when alpha lies so close
+    to it that a threshold leaves the float range.
     """
     gamma0, eps, _ = epsilon_interior(e)
     if not 0.0 < alpha < eps:
@@ -319,9 +365,15 @@ def thresholds(alpha: float, e: Ellipticity) -> ThresholdData:
         t_min_interior = math.inf
         interior_scale = 0.0
     else:
-        t_min_interior = (1.0 - gamma0) ** (-(j + 1))
         interior_scale = ((1.0 - gamma0) / gamma0) * 2.0 ** 6
-    t_min_global = (0.5 * (3.0 + _SQRT5)) ** (1 + j)
+    try:
+        if gamma0 < 1.0:
+            t_min_interior = (1.0 - float(gamma0)) ** (-(j + 1))
+        t_min_global = (0.5 * (3.0 + _SQRT5)) ** (1 + j)
+    except OverflowError:
+        raise DomainError(
+            f"alpha = {alpha} is so close to epsilon_interior = {eps} that the "
+            f"thresholds for j = {j} exceed the float range") from None
     global_scale = e.n ** 2 * (3.0 + _SQRT5) ** 9 / (2.0 ** 5 * (1.0 + _SQRT5) ** 4)
     return ThresholdData(j, t_min_interior, t_min_global, interior_scale, global_scale)
 

@@ -159,3 +159,21 @@ def envelope_1d_bruteforce(x, y):
         if good.any():
             env[i] = min(env[i], chords[good].min())
     return env
+
+
+def lattice_count_slices(dim, R):
+    """Lattice points y with |2 R y| + R <= 1/2, counted slice by slice over every coordinate."""
+    reach = (0.5 - R) / (2.0 * R)
+
+    def count(d: int, rem2: float) -> int:
+        limit = int(math.floor(math.sqrt(rem2) + 1e-12))
+        if d == 1:
+            return 2 * limit + 1
+        ys = np.arange(-limit, limit + 1, dtype=np.float64)
+        rems = rem2 - ys * ys
+        if d == 2:
+            inner = np.floor(np.sqrt(np.maximum(rems, 0.0)) + 1e-12)
+            return int((2 * inner + 1).sum())
+        return sum(count(d - 1, float(r)) for r in rems)
+
+    return int(count(dim, reach * reach))

@@ -69,6 +69,22 @@ def test_sweep_explicit_list(capsys):
     assert all(int(r["k"]) == 1 for r in rows)
 
 
+def test_bounds_and_sweep_past_the_power_overflow(capsys):
+    code, out, _ = run_cli(capsys, "bounds", "--n", "700", "--ratio", "2", "--reproducible")
+    assert code == 0
+    row = parse_csv(out)[1][0]
+    assert float(row["epsilon_global"]) == h.epsilon_global(h.Ellipticity(700, 2.0, 1)) > 0.0
+    code, out, _ = run_cli(capsys, "sweep", "--n-range", "427,428,700,737", "--ratios",
+                           "2,100", "--reproducible")
+    assert code == 0
+    rows = parse_csv(out)[1]
+    assert len(rows) == 8
+    assert all(math.isfinite(float(v)) for r in rows for k, v in r.items() if k != "k")
+    code, _, err = run_cli(capsys, "sweep", "--n-range", "1100", "--ratios", "100")
+    assert code == 2
+    assert "float range" in err
+
+
 def test_lambertw_json_round_trip(capsys):
     code, out, _ = run_cli(capsys, "lambertw", "--branch", "-1", "--z=-0.2,-0.05",
                            "--format", "json", "--reproducible")

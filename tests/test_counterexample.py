@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import hessint as h
+from hessint.counterexample import _per_ball_integral
+from _oracles import lattice_count_slices
 
 P1 = h.RadialProfile(3, 1.0, 0.1, 1.0, 2.0)
 
@@ -226,11 +228,35 @@ def test_lattice_ball_count_meets_mn_lower_bound():
             assert h.lattice_ball_count(n, R) >= m ** n
 
 
+def test_lattice_ball_count_matches_slice_oracle():
+    cases = [(dim, 2.0 ** -m) for dim, m_hi in [(1, 12), (2, 12), (3, 12), (4, 7), (5, 5)]
+             for m in range(3, m_hi + 1)]
+    cases += [(dim, h.lattice_admissible_radius(dim, m))
+              for dim, m_hi in [(1, 20), (2, 20), (3, 20), (4, 6), (5, 3)]
+              for m in range(1, m_hi + 1)]
+    # the oracle's cost grows like reach^(dim-1), so random radii stop at dim 3
+    rng = np.random.default_rng(20261018)
+    cases += [(dim, float(R)) for R in rng.uniform(0.002, 0.249, 200) for dim in (1, 2, 3)]
+    # reach^2 just below 26 = 1 + 25 = 1 + 16 + 9: the 1e-12 allowance admits
+    # (5, 1) but not (1, 5), so only the +-y symmetry may be used
+    R = 0.04465067488925424
+    assert 2e-12 < 26.0 - ((0.5 - R) / (2.0 * R)) ** 2 < 1e-11
+    cases += [(2, R), (3, R)]
+    for dim, R in cases:
+        assert h.lattice_ball_count(dim, R) == lattice_count_slices(dim, R), (dim, R)
+
+
 def test_lattice_ball_count_domain():
     with pytest.raises(h.GeometryError):
         h.lattice_ball_count(3, 0.25)
     with pytest.raises(h.GeometryError):
         h.lattice_ball_count(3, 0.0)
+
+
+def test_lattice_ball_count_rejects_bad_dimension():
+    for dim in (0, -1, 2.0):
+        with pytest.raises(h.DomainError):
+            h.lattice_ball_count(dim, 0.1)
 
 
 def test_lp_lower_bound_conditions():
@@ -276,6 +302,15 @@ def test_divergence_scan_dyadic_growth():
     assert scan.fit_exponent > 0.0
     assert 0.0 < scan.fit_r_squared <= 1.0
     assert scan.note == ""
+
+
+def test_divergence_scan_bounds_are_oracle_count_times_per_ball_integral():
+    ms = range(3, 15)
+    scan = h.divergence_scan(3, 2.0, 0.7, ms)
+    want = [lattice_count_slices(3, 2.0 ** -m)
+            * _per_ball_integral(h.RadialProfile(3, 3.0, 2.0 ** -m, 1.0, 2.0), 0.7)
+            for m in ms]
+    assert scan.lower_bounds.tolist() == want
 
 
 def test_divergence_scan_dominates_analytic_count_bound():

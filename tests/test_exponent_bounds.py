@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -175,6 +176,39 @@ def test_global_rho_j_values_and_invariants():
         assert (1.0 + delta) ** j * rho_j ** 2 >= delta ** 4 / (9.0 * (1.0 + delta) ** 8) - 1e-15
         assert rho_j <= prev
         prev = rho_j
+
+
+def test_bounds_past_the_power_overflow_match_decimal_arithmetic():
+    # (3+sqrt5)^(n+1) overflows from n = 428, (1+d)^(n+1) from n = 737
+    with decimal.localcontext(prec=60):
+        D = decimal.Decimal
+        s5 = D(5).sqrt()
+        d = (1 + s5) / 2
+        for n in (427, 428, 700, 737, 1000):
+            e = h.Ellipticity(n, 2.0, 1)
+            q = 2 * D(h.c_star(e)) * (1 + s5) ** n / (3 + s5) ** (n + 1)
+            want = float(-q / (2 / (3 + s5)).ln())     # log1p(-q) = -q to 1e-90
+            assert math.isclose(h.epsilon_global(e), want, rel_tol=1e-12), n
+            shrink = 1 - D(h.pucci_c(e)) * d ** n / (1 + d) ** (n + 1)
+            for j in (0, 800):
+                want = float(shrink ** (j + 1) * d / (n * (1 + d) ** 3))
+                assert math.isclose(h.global_rho_j(j, e), want, rel_tol=1e-12), (n, j)
+        # b^(n-k) overflows on its own; rho^(k-n) b^(n-k) = (b/rho)^(n-k) does not
+        e = h.Ellipticity(100_000, 1.01, 1)
+        b = 1 + D(99_998) / D(99_999) * (1 - 1 / D(1.01))
+        assert math.isclose(h.c_lower_bound(e), float((b / D(1.01)) ** 99_999), rel_tol=1e-9)
+        e = h.Ellipticity(1000, 100.0, 1)
+        b = 1 + D(998) / D(999) * (1 - 1 / D(100))
+        want = float(b ** 999 / (4 * D(1000).ln()))
+        assert math.isclose(h.refined_lower_normalized(e), want, rel_tol=1e-12)
+    with pytest.raises(h.DomainError):
+        h.refined_lower_normalized(h.Ellipticity(1100, 100.0, 1))   # b^1099 > 1e308
+    with pytest.raises(h.DomainError):
+        h.global_rho_j(100_000, E321)                               # rho_j underflows
+    _, eps, _ = h.epsilon_interior(E321)
+    for alpha in (eps * 0.997, eps * (1.0 - 1e-6)):  # j = 333: interior only; j near 1e6
+        with pytest.raises(h.DomainError):
+            h.thresholds(alpha, E321)
 
 
 def test_thresholds_rank_selection():
