@@ -20,8 +20,8 @@ from .exponent_bounds import (Ellipticity, ExponentReport, T0Result,
                               compute_report, epsilon_global,
                               epsilon_interior, epsilon_upper, gamma_star,
                               global_rho_j, phi, phi_lower, pucci_c,
-                              refined_lower, refined_lower_normalized,
-                              rho_for_beta, tau, t0_maximizer, thresholds)
+                              refined_lower, rho_for_beta, tau, t0_maximizer,
+                              thresholds)
 from .envelope_lab import (DecayReport, EnvelopeResult, GridFunction,
                            TailDistribution, ThetaField, a_convex_envelope,
                            convex_envelope, decay_experiment,
@@ -42,7 +42,7 @@ __all__ = [
     "ass_conjecture", "c_lower_bound", "c_star", "closed_form_lower",
     "compute_report", "epsilon_global", "epsilon_interior", "epsilon_upper",
     "gamma_star", "global_rho_j", "phi", "phi_lower", "pucci_c",
-    "refined_lower", "refined_lower_normalized", "rho_for_beta", "tau", "t0_maximizer", "thresholds",
+    "refined_lower", "rho_for_beta", "tau", "t0_maximizer", "thresholds",
     "DecayReport", "EnvelopeResult", "GridFunction", "TailDistribution",
     "ThetaField", "a_convex_envelope", "convex_envelope", "decay_experiment",
     "grid_from_callable", "tail_distribution", "theta_field",

@@ -109,7 +109,7 @@ def cmd_sweep(p: dict) -> tuple[list[dict], dict]:
             # deep-copy each value, 15x slower per report
             row = dict(vars(rep))
             row["refined_lower_normalized"] = (
-                xb.refined_lower_normalized(e)
+                xb._refined_lower_normalized(e, rep.refined_lower)
                 if not math.isnan(rep.refined_lower) else math.nan
             )
             rows.append(row)

@@ -251,15 +251,12 @@ def refined_lower(e: Ellipticity) -> float:
     return c_lower_bound(e) / (4.0 * math.log(e.n))
 
 
-def refined_lower_normalized(e: Ellipticity) -> float:
-    """refined_lower(e) rho^(n-k) = b^(n-k) / (4 ln n), the bound without its rho^(k-n).
-
-    Here b = 1 + ((n-2k)/(n-k))(1 - 1/rho) < 2. Computed as the product while
-    rho^(n-k) stays finite, from b otherwise; DomainError once b^(n-k) itself
-    leaves the float range, which needs n - k > 1023.
-    """
+def _refined_lower_normalized(e: Ellipticity, refined: float) -> float:
+    # the sweep column refined_lower(e) rho^(n-k) = b^(n-k) / (4 ln n), b =
+    # _c_lower_base(e) < 2: the product while rho^(n-k) is finite, from b past
+    # that; DomainError once b^(n-k) leaves the float range (n - k > 1023)
     try:
-        return refined_lower(e) * e.ratio ** (e.n - e.k)
+        return refined * e.ratio ** (e.n - e.k)
     except OverflowError:
         pass
     try:
@@ -361,14 +358,13 @@ def thresholds(alpha: float, e: Ellipticity) -> ThresholdData:
         r = round(r)
     j = max(1, math.ceil(r))
 
-    if gamma0 >= 1.0:
-        t_min_interior = math.inf
-        interior_scale = 0.0
-    else:
-        interior_scale = ((1.0 - gamma0) / gamma0) * 2.0 ** 6
     try:
-        if gamma0 < 1.0:
+        if gamma0 >= 1.0:
+            t_min_interior = math.inf
+            interior_scale = 0.0
+        else:
             t_min_interior = (1.0 - float(gamma0)) ** (-(j + 1))
+            interior_scale = ((1.0 - gamma0) / gamma0) * 2.0 ** 6
         t_min_global = (0.5 * (3.0 + _SQRT5)) ** (1 + j)
     except OverflowError:
         raise DomainError(

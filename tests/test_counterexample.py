@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -238,12 +239,25 @@ def test_lattice_ball_count_matches_slice_oracle():
     rng = np.random.default_rng(20261018)
     cases += [(dim, float(R)) for R in rng.uniform(0.002, 0.249, 200) for dim in (1, 2, 3)]
     # reach^2 just below 26 = 1 + 25 = 1 + 16 + 9: the 1e-12 allowance admits
-    # (5, 1) but not (1, 5), so only the +-y symmetry may be used
+    # (5, 1) but not (1, 5), so a count by the diagonal symmetry would be wrong
     R = 0.04465067488925424
     assert 2e-12 < 26.0 - ((0.5 - R) / (2.0 * R)) ** 2 < 1e-11
     cases += [(2, R), (3, R)]
     for dim, R in cases:
         assert h.lattice_ball_count(dim, R) == lattice_count_slices(dim, R), (dim, R)
+
+
+def test_lattice_ball_count_memory_is_one_block_buffer():
+    # O(reach) arrays plus the 0.5 MB block buffer in every dimension; expanding
+    # all top levels at once held reach^(dim-2) floats per array (3.9 MB at dim 4)
+    for dim, m in [(3, 14), (4, 10), (5, 7)]:
+        tracemalloc.start()
+        try:
+            h.lattice_ball_count(dim, 2.0 ** -m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (dim, m, peak)
 
 
 def test_lattice_ball_count_domain():

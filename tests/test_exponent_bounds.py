@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hessint as h
+from hessint import exponent_bounds as xb
 
 E321 = h.Ellipticity(3, 2.0, 1)
 
@@ -200,9 +201,11 @@ def test_bounds_past_the_power_overflow_match_decimal_arithmetic():
         e = h.Ellipticity(1000, 100.0, 1)
         b = 1 + D(998) / D(999) * (1 - 1 / D(100))
         want = float(b ** 999 / (4 * D(1000).ln()))
-        assert math.isclose(h.refined_lower_normalized(e), want, rel_tol=1e-12)
+        assert math.isclose(xb._refined_lower_normalized(e, h.refined_lower(e)), want,
+                            rel_tol=1e-12)
+    e = h.Ellipticity(1100, 100.0, 1)
     with pytest.raises(h.DomainError):
-        h.refined_lower_normalized(h.Ellipticity(1100, 100.0, 1))   # b^1099 > 1e308
+        xb._refined_lower_normalized(e, h.refined_lower(e))       # b^1099 > 1e308
     with pytest.raises(h.DomainError):
         h.global_rho_j(100_000, E321)                               # rho_j underflows
     _, eps, _ = h.epsilon_interior(E321)
