@@ -414,7 +414,7 @@ def theta_field(v: GridFunction, a_max: float, bisect_tol: float | None = None) 
     theta is bracket_hi where it is at most a_max (converged), and a_max with
     converged False elsewhere. bisect_tol is accepted and ignored; it is
     removed with the benchmark revision that stops passing it (ROADMAP
-    direction 2).
+    direction 1): perfbench/selftest.py passes it positionally.
     """
     if not (a_max > 0.0 and math.isfinite(a_max)):
         raise DomainError(f"a_max must be positive, got {a_max}")

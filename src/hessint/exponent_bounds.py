@@ -17,6 +17,7 @@ directions of assumed negative curvature.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -26,10 +27,12 @@ import numpy as np
 from .errors import DomainError, OptimizationError
 from .special_functions import lambert_w0, lambert_wm1
 
-_SQRT5 = math.sqrt(5.0)
-# ln of the golden ratio (1+sqrt5)/2, which is asinh(1/2); the ring constant
-# 2 (1+sqrt5)^n/(3+sqrt5)^(n+1) of the global exponent is golden^-(n+2)
-_LN_GOLDEN = math.asinh(0.5)
+# every constant of the global exponent's dilation chain is a power of the
+# golden ratio phi = (1+sqrt5)/2, taken by _golden: d^n/(1+d)^(n+1) =
+# phi^-(n+2) for d = phi, 1+d = phi^2, and ln(2/(3+sqrt5)) = -2 ln phi
+_GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+_GOLDEN_LO = -5.432115203682506e-17  # phi - _GOLDEN, the part the float drops
+_LN_GOLDEN = math.asinh(0.5)  # ln phi
 # gamma values for the maximizer scan of epsilon_interior: 1 - gamma geometric
 # from 1 - 1e-9 down to 2^-53, so the maximizer stays inside the scan as c -> 1
 _SCAN = 1.0 - np.geomspace(1.0 - 1e-9, 2.0 ** -53, 1000)
@@ -95,10 +98,14 @@ class ThresholdData:
     global_scale: float
 
 
+def _golden(m: int) -> float:
+    # phi^m = _GOLDEN^m (1 + _GOLDEN_LO/_GOLDEN)^m to first order in _GOLDEN_LO;
+    # within 2 ulps of phi^m for -1475 <= m <= 1474; OverflowError from 1475
+    return _GOLDEN ** m * (1.0 + m * _GOLDEN_LO / _GOLDEN)
+
+
 def pucci_c(e: Ellipticity) -> float:
     """Measure-decay constant c(n, rho, k) = (1 + (rho-1)k/(n-k))^(k-n)."""
-    if e.k >= e.n:
-        raise DomainError(f"pucci_c requires k < n, got k={e.k}, n={e.n}")
     base = 1.0 + (e.ratio - 1.0) * e.k / (e.n - e.k)
     return base ** (e.k - e.n)
 
@@ -111,17 +118,15 @@ def c_star(e: Ellipticity) -> float:
 def c_lower_bound(e: Ellipticity) -> float:
     """Closed-form lower bound for c when k < n/2.
 
-    rho^(k-n) * (1 + ((n-2k)/(n-k))(1 - 1/rho))^(n-k); sharpens the trivial
-    rho^(k-n) by the explicit bracket on the base.
+    rho^(k-n) b^(n-k) with b = 1 + ((n-2k)/(n-k))(1 - 1/rho); sharpens the
+    trivial rho^(k-n) by the explicit bracket b on the base. Taken as
+    (b/rho)^(n-k): b <= rho, so no factor overflows or underflows before the
+    product does.
     """
-    n, rho, k = e.n, e.ratio, e.k
+    n, k = e.n, e.k
     if not 2 * k < n:
         raise DomainError(f"c_lower_bound requires k < n/2, got k={k}, n={n}")
-    base = _c_lower_base(e)
-    try:
-        return rho ** (k - n) * base ** (n - k)
-    except OverflowError:  # base^(n-k) past the float range; base <= rho
-        return (base / rho) ** (n - k)
+    return (_c_lower_base(e) / e.ratio) ** (n - k)
 
 
 def _c_lower_base(e: Ellipticity) -> float:
@@ -165,7 +170,9 @@ def epsilon_interior(e: Ellipticity) -> tuple[float, float, float]:
 
     One scan of gamma, geometric in 1 - gamma from 1 - 1e-9 down to 2^-53,
     brackets the maximizer, then the stationarity gap is bisected down to
-    adjacent floats. Raises OptimizationError when the scan does not bracket
+    adjacent floats. Raises DomainError when c_star is below the normal
+    float range (n >= 76 at rho = 1e6, for k = 1), where phi has no
+    resolvable maximum, and OptimizationError when the scan does not bracket
     a sign change of the gap. Near rho = 1, 1 - c*gamma^n at the maximizer is
     of size rho - 1 and its rounding error decides the gap's sign: for some
     3 <= n <= 40 the scan bracket fails once rho - 1 is below about 1e-14,
@@ -176,6 +183,10 @@ def epsilon_interior(e: Ellipticity) -> tuple[float, float, float]:
     n = e.n
     if c == 1.0:
         return 1.0, 1.0, 0.0
+    if c < sys.float_info.min:
+        raise DomainError(
+            f"c_star = {c:.3g} is below the normal float range at n={n}, "
+            f"ratio={e.ratio}, k={e.k}; phi cannot be maximized")
 
     vals = np.log1p(-c * _SCAN ** n) / np.log1p(-_SCAN)
     i = int(np.argmax(vals))
@@ -251,14 +262,10 @@ def refined_lower(e: Ellipticity) -> float:
     return c_lower_bound(e) / (4.0 * math.log(e.n))
 
 
-def _refined_lower_normalized(e: Ellipticity, refined: float) -> float:
-    # the sweep column refined_lower(e) rho^(n-k) = b^(n-k) / (4 ln n), b =
-    # _c_lower_base(e) < 2: the product while rho^(n-k) is finite, from b past
-    # that; DomainError once b^(n-k) leaves the float range (n - k > 1023)
-    try:
-        return refined * e.ratio ** (e.n - e.k)
-    except OverflowError:
-        pass
+def _refined_lower_normalized(e: Ellipticity) -> float:
+    # the sweep column refined_lower(e) rho^(n-k) = b^(n-k) / (4 ln n) with
+    # b = _c_lower_base(e) < 2; DomainError once b^(n-k) leaves the float
+    # range (n - k > 1023)
     try:
         return _c_lower_base(e) ** (e.n - e.k) / (4.0 * math.log(e.n))
     except OverflowError:
@@ -295,46 +302,34 @@ def ass_conjecture(ratio: float) -> float:
 def epsilon_global(e: Ellipticity) -> float:
     """Up-to-the-boundary exponent from the golden-ratio dilation chain.
 
-    ln(1 - 2 c* (1+sqrt5)^n / (3+sqrt5)^(n+1)) / ln(2/(3+sqrt5)) with c* = c_star(e).
-    From n = 428 on, where (3+sqrt5)^(n+1) overflows, the quotient is taken as
-    c* exp(-(n+2) ln((1+sqrt5)/2)), within about n/3 ulps.
+    ln(1 - 2 c* (1+sqrt5)^n / (3+sqrt5)^(n+1)) / ln(2/(3+sqrt5)) with
+    c* = c_star(e), which is ln(1 - c* phi^-(n+2)) / (-2 ln phi) for the
+    golden ratio phi; within 4 ulps of a 60-digit reference for n <= 1000.
     """
-    c = c_star(e)
-    try:
-        ring = 2.0 * c * (1.0 + _SQRT5) ** e.n / (3.0 + _SQRT5) ** (e.n + 1)
-    except OverflowError:
-        ring = c * math.exp(-(e.n + 2) * _LN_GOLDEN)
-    num = math.log1p(-ring)
-    den = math.log(2.0 / (3.0 + _SQRT5))
-    return num / den
+    return math.log1p(-c_star(e) * _golden(-(e.n + 2))) / (-2.0 * _LN_GOLDEN)
 
 
 def global_rho_j(j: int, e: Ellipticity) -> float:
     """Dilation radius rho_j of the j-th golden-ratio ring.
 
     Solves ((1+d)/d) n (1+d)^2 rho_j = (1 - c d^n/(1+d)^(n+1))^(j+1) with
-    d = (1+sqrt5)/2 and c = pucci_c(e). From n = 737 on, where (1+d)^(n+1)
-    overflows, d^n/(1+d)^(n+1) is taken as exp(-(n+2) ln d). Raises
-    DomainError when rho_j underflows to 0 (j of order 10^4 and up). Asserts
-    rho_j < (1+d)^-2 and d^4/(n^2 (1+d)^8) <= (1+d)^j rho_j^2, the latter in
-    logarithms; failure would be an implementation error, not a bad
-    parameter.
+    d = phi = (1+sqrt5)/2 and c = pucci_c(e); as powers of phi that is
+    rho_j = (1 - c phi^-(n+2))^(j+1) / (n phi^5). Raises DomainError when
+    rho_j underflows to 0 (j of order 10^4 and up). Asserts
+    rho_j < (1+d)^-2 = phi^-4 and d^4/(n^2 (1+d)^8) <= (1+d)^j rho_j^2, the
+    latter in logarithms; failure would be an implementation error, not a
+    bad parameter.
     """
     if not isinstance(j, int) or j < 0:
         raise DomainError(f"global_rho_j requires integer j >= 0, got {j}")
-    d = (1.0 + _SQRT5) / 2.0
-    c = pucci_c(e)
     n = e.n
-    try:
-        shrink = 1.0 - c * d ** n / (1.0 + d) ** (n + 1)
-    except OverflowError:
-        shrink = 1.0 - c * math.exp(-(n + 2) * _LN_GOLDEN)
-    rho_j = shrink ** (j + 1) * d / (n * (1.0 + d) ** 3)
+    shrink = 1.0 - pucci_c(e) * _golden(-(n + 2))
+    rho_j = shrink ** (j + 1) / (n * _golden(5))
     if rho_j == 0.0:
         raise DomainError(f"rho_j underflows the float range at j={j}")
-    assert rho_j < (1.0 + d) ** -2, f"rho_j={rho_j} outside (0, (1+d)^-2)"
-    assert (math.log(d ** 4 / (n ** 2 * (1.0 + d) ** 8))
-            <= j * math.log1p(d) + 2.0 * math.log(rho_j)), (
+    assert rho_j < _golden(-4), f"rho_j={rho_j} outside (0, (1+d)^-2)"
+    assert (-12.0 * _LN_GOLDEN - 2.0 * math.log(n)
+            <= 2.0 * j * _LN_GOLDEN + 2.0 * math.log(rho_j)), (
         f"ring inequality fails at j={j}: rho_j={rho_j}"
     )
     return rho_j
@@ -365,12 +360,12 @@ def thresholds(alpha: float, e: Ellipticity) -> ThresholdData:
         else:
             t_min_interior = (1.0 - float(gamma0)) ** (-(j + 1))
             interior_scale = ((1.0 - gamma0) / gamma0) * 2.0 ** 6
-        t_min_global = (0.5 * (3.0 + _SQRT5)) ** (1 + j)
+        t_min_global = _golden(2 * (j + 1))
     except OverflowError:
         raise DomainError(
             f"alpha = {alpha} is so close to epsilon_interior = {eps} that the "
             f"thresholds for j = {j} exceed the float range") from None
-    global_scale = e.n ** 2 * (3.0 + _SQRT5) ** 9 / (2.0 ** 5 * (1.0 + _SQRT5) ** 4)
+    global_scale = e.n ** 2 * _golden(14)
     return ThresholdData(j, t_min_interior, t_min_global, interior_scale, global_scale)
 
 
@@ -419,7 +414,7 @@ def compute_report(e: Ellipticity) -> ExponentReport:
     cs = c_star(e)
     gamma0, eps, resid = epsilon_interior(e)
     gs = gamma_star(e.n)
-    f_at_gs = cs * gs ** e.n / (-math.log1p(-gs))
+    f_at_gs = phi_lower(gs, cs, e.n)
     cfl = closed_form_lower(e)
     tau_n = tau(e.n) if e.n >= 3 else math.nan
     refined = refined_lower(e) if (e.n >= 3 and 2 * e.k < e.n) else math.nan

@@ -85,6 +85,15 @@ def test_bounds_and_sweep_past_the_power_overflow(capsys):
     assert "float range" in err
 
 
+@pytest.mark.parametrize("n", [79, 80])
+def test_bounds_with_c_star_below_the_float_range_is_usage_error(capsys, n):
+    # c_star is subnormal at n = 79 and 0.0 at n = 80 for ratio 1e6
+    code, out, err = run_cli(capsys, "bounds", "--n", str(n), "--ratio", "1e6")
+    assert code == 2
+    assert out == ""
+    assert "c_star" in err
+
+
 def test_lambertw_json_round_trip(capsys):
     code, out, _ = run_cli(capsys, "lambertw", "--branch", "-1", "--z=-0.2,-0.05",
                            "--format", "json", "--reproducible")

@@ -179,6 +179,21 @@ def test_global_rho_j_values_and_invariants():
         prev = rho_j
 
 
+def test_epsilon_global_within_4_ulps_of_decimal_arithmetic():
+    # ln(1 - c* phi^-(n+2)) / (-2 ln phi) to 60 digits; -q - q^2/2 stands in
+    # for ln(1 - q) once q is below 1e-20, where 1 - q would round to 1
+    with decimal.localcontext(prec=60):
+        D = decimal.Decimal
+        golden = (1 + D(5).sqrt()) / 2
+        for ratio in (1.5, 2.0, 10.0, 100.0):
+            for n in (*range(3, 1001, 7), 12, 140, 444, 1000):
+                e = h.Ellipticity(n, ratio, 1)
+                q = D(h.c_star(e)) / golden ** (n + 2)
+                log1p = -q - q * q / 2 if q < D("1e-20") else (1 - q).ln()
+                want = float(log1p / (-2 * golden.ln()))
+                assert abs(h.epsilon_global(e) - want) <= 4 * math.ulp(want), (n, ratio)
+
+
 def test_bounds_past_the_power_overflow_match_decimal_arithmetic():
     # (3+sqrt5)^(n+1) overflows from n = 428, (1+d)^(n+1) from n = 737
     with decimal.localcontext(prec=60):
@@ -194,18 +209,20 @@ def test_bounds_past_the_power_overflow_match_decimal_arithmetic():
             for j in (0, 800):
                 want = float(shrink ** (j + 1) * d / (n * (1 + d) ** 3))
                 assert math.isclose(h.global_rho_j(j, e), want, rel_tol=1e-12), (n, j)
-        # b^(n-k) overflows on its own; rho^(k-n) b^(n-k) = (b/rho)^(n-k) does not
-        e = h.Ellipticity(100_000, 1.01, 1)
-        b = 1 + D(99_998) / D(99_999) * (1 - 1 / D(1.01))
-        assert math.isclose(h.c_lower_bound(e), float((b / D(1.01)) ** 99_999), rel_tol=1e-9)
+        # b^(n-k) overflows on its own at n = 100000, rho^(k-n) underflows at
+        # n = 427, rho = 10; rho^(k-n) b^(n-k) = (b/rho)^(n-k) does neither
+        for n, ratio in ((100_000, 1.01), (427, 10.0)):
+            e = h.Ellipticity(n, ratio, 1)
+            b = 1 + D(n - 2) / D(n - 1) * (1 - 1 / D(ratio))
+            want = float((b / D(ratio)) ** (n - 1))
+            assert math.isclose(h.c_lower_bound(e), want, rel_tol=1e-9), n
         e = h.Ellipticity(1000, 100.0, 1)
         b = 1 + D(998) / D(999) * (1 - 1 / D(100))
         want = float(b ** 999 / (4 * D(1000).ln()))
-        assert math.isclose(xb._refined_lower_normalized(e, h.refined_lower(e)), want,
-                            rel_tol=1e-12)
+        assert math.isclose(xb._refined_lower_normalized(e), want, rel_tol=1e-12)
     e = h.Ellipticity(1100, 100.0, 1)
     with pytest.raises(h.DomainError):
-        xb._refined_lower_normalized(e, h.refined_lower(e))       # b^1099 > 1e308
+        xb._refined_lower_normalized(e)                             # b^1099 > 1e308
     with pytest.raises(h.DomainError):
         h.global_rho_j(100_000, E321)                               # rho_j underflows
     _, eps, _ = h.epsilon_interior(E321)
