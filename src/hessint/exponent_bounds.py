@@ -378,14 +378,14 @@ def t0_maximizer(n: int, ratio: float) -> T0Result:
     """Optimal power x0 and decay threshold t0 for the radial barrier family.
 
     x0 = (rho-2)/W0((rho-2)/e) solves ln x0 = (rho-2+x0)/x0; t0 = n(x0-1)/(x0 ln x0).
-    At rho = 2 the quotient degenerates and the limit x0 = e is used. t0
+    At rho = 2 exactly the quotient is 0/0 and its limit x0 = e is used. t0
     decreases from n (rho -> 1+) toward 0 as rho grows.
     """
     if not isinstance(n, int) or n < 2:
         raise DomainError(f"t0_maximizer requires integer n >= 2, got {n}")
     if not ratio > 1.0:
         raise DomainError(f"t0_maximizer requires ratio > 1, got {ratio}")
-    if abs(ratio - 2.0) < 1e-8:
+    if ratio == 2.0:
         x0 = math.e
     else:
         x0 = (ratio - 2.0) / lambert_w0((ratio - 2.0) * math.exp(-1.0)).value

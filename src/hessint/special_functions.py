@@ -4,11 +4,13 @@ W solves W(z) e^{W(z)} = z. Two real branches exist: the principal branch W0
 (W >= -1, defined for z >= -1/e) and the lower branch W-1 (W <= -1, defined
 for -1/e <= z < 0). Both meet at the branch point z = -1/e where W = -1.
 
-The solver uses a branch-appropriate seed, Halley iteration, a square-root
-(Puiseux) expansion inside a 1e-12 window around the branch point, Newton on
-w + log|w| = log|z| where w e^w would underflow (W-1 near 0) or overflow (W0
-near the top of the float range), and a bisection fallback on a guaranteed
-bracket if Halley ever fails to converge.
+Both branches use one solver. Within p^2 <= 1e-3 of the branch point, where
+p = sqrt(2(ez+1)), W is the Puiseux series of Corless et al. (1996), "On the
+Lambert W function", through p^9, with p > 0 on W0 and p < 0 on W-1; z + 1/e
+is taken against a two-double 1/e. Everywhere else the iteration of Fritsch,
+Shafer and Crowley (CACM 16(2), 1973) refines a seed. It works on
+log(z/w) - w, never evaluates e^w, and converges at fourth order. On W-1 it
+takes log(z/w) as log|z| - log|w|, so no quotient underflows at subnormal z.
 """
 
 from __future__ import annotations
@@ -16,16 +18,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from .errors import DomainError
 
 _INV_E = math.exp(-1.0)
+_INV_E_LO = -1.2428753672788363e-17  # 1/e - _INV_E
 _BRANCH_POINT = -_INV_E
-_BRANCH_WINDOW = 1e-12
-_MAX_HALLEY = 50
-_MAX_BISECT = 200
-# above this log z, Halley's w e^w can overflow; W0 is solved in log space
-_LOG_Z_MAX_HALLEY = 690.0
+# bounds on p^2 = 2(ez+1): the series alone up to the first, the series as
+# the iteration's seed below the second (z below about -0.25)
+_SERIES_WINDOW = 1e-3
+_SERIES_SEED = 0.64
+# Puiseux coefficients of W in p, from p^0 to p^9 (Corless et al. 1996)
+_SERIES = (-1.0, 1.0, -1 / 3, 11 / 72, -43 / 540, 769 / 17280, -221 / 8505,
+           680863 / 43545600, -1963 / 204120, 226287557 / 37623398400)
+# after a relative step below _STEP_TOL the fourth-order error left is far
+# below rounding, whatever the 1/(1+w) conditioning adds to the step's noise
+_STEP_TOL = 1e-7
+_MAX_STEPS = 8
 
 # max of the bracket ratio -W_{-1}(-e^{-(u+1)})/(u+1), attained at u = e-2
 BRACKET_RATIO_MAX = math.e / (math.e - 1.0)
@@ -49,55 +59,29 @@ def _residual(w: float, z: float) -> float:
     return abs(w * math.exp(w) - z)
 
 
-def _puiseux(z: float, sign: float) -> float:
-    # expansion in p = sqrt(2(ez+1)); sign +1 for W0, -1 for W-1
-    s = 2.0 * (math.e * z + 1.0)
-    p = math.sqrt(s) if s > 0.0 else 0.0
-    return -1.0 + sign * p - p * p / 3.0 + sign * (11.0 / 72.0) * p ** 3
+def _p2(z: float) -> float:
+    # 2(ez+1) = 2e(z + 1/e), zero at or below the branch point
+    return max(2.0 * math.e * ((z + _INV_E) + _INV_E_LO), 0.0)
 
 
-def _halley(w: float, z: float) -> tuple[float, bool]:
-    for _ in range(_MAX_HALLEY):
-        ew = math.exp(w)
-        f = w * ew - z
-        if abs(f) <= 1e-14 * abs(z):
-            return w, True
-        wp1 = w + 1.0
-        if abs(wp1) < 1e-12:
-            # derivative vanishes at the branch point; let the caller fall back
-            return w, False
-        denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
-        if denom == 0.0 or not math.isfinite(denom):
-            return w, False
-        dw = f / denom
-        w -= dw
-        if abs(dw) <= 4e-16 * (1.0 + abs(w)):
-            return w, True
-    return w, _residual(w, z) <= 1e-12 * max(1.0, abs(z))
+def _series(p: float) -> float:
+    w = 0.0
+    for c in reversed(_SERIES):
+        w = w * p + c
+    return w
 
 
-def _bisect(z: float, lo: float, hi: float) -> float:
-    # f(y) = y e^y - z; requires a sign change on [lo, hi]
-    flo = lo * math.exp(lo) - z
-    fhi = hi * math.exp(hi) - z
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise DomainError(f"bisection bracket [{lo}, {hi}] does not straddle a root for z={z}")
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+def _fritsch(w: float, log_ratio: Callable[[float], float]) -> float:
+    # w <- w(1 + e) with t = log(z/w) - w, log_ratio(w) giving log(z/w); the
+    # step is added as w e so that its low bits survive
+    for _ in range(_MAX_STEPS):
+        t = log_ratio(w) - w
+        q = 2.0 * (1.0 + w) * (1.0 + w + 2.0 / 3.0 * t) - t
+        e = t / (1.0 + w) * (q - t) / (q - 2.0 * t)
+        w += w * e
+        if abs(e) <= _STEP_TOL:
             break
-        fm = mid * math.exp(mid) - z
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-    return 0.5 * (lo + hi)
+    return w
 
 
 def lambert_w0(z: float) -> BranchValue:
@@ -111,34 +95,27 @@ def lambert_w0(z: float) -> BranchValue:
         z = _BRANCH_POINT
     if z == 0.0:
         return BranchValue(0.0, Branch.PRINCIPAL, 0.0)
-    if z == _BRANCH_POINT:
-        return BranchValue(-1.0, Branch.PRINCIPAL, _residual(-1.0, z))
-    if abs(z - _BRANCH_POINT) <= _BRANCH_WINDOW:
-        w = _puiseux(z, +1.0)
-        return BranchValue(w, Branch.PRINCIPAL, _residual(w, z))
 
-    if z < -0.25:
-        w = _puiseux(z, +1.0)
-    elif z < 1.5:
-        w = math.log1p(z) if z > -0.9 else z
+    p2 = _p2(z)
+    if p2 < _SERIES_SEED:
+        w = _series(math.sqrt(p2))
     else:
-        lz = math.log(z)
-        if lz > _LOG_Z_MAX_HALLEY:
-            # w e^w overflows inside Halley near the top of the float range;
-            # iterate on w + log(w) = log(z) instead
-            w = _log_newton(lz)
-            return BranchValue(w, Branch.PRINCIPAL, _residual(w, z))
-        w = lz - math.log(lz) if lz > 1.0 else lz
-    w, ok = _halley(w, z)
-    if not ok:
-        if z >= 0.0:
-            hi = 1.0 + math.log1p(z)
-        else:
-            hi = 0.0
-        lo = -1.0 if z < 0.0 else 0.0
-        w = _bisect(z, lo, max(hi, lo + 1e-12))
+        # Winitzki (2003): within 4% of W0 for every z >= -0.25
+        l1 = math.log1p(z)
+        w = l1 * (1.0 - math.log1p(l1) / (2.0 + l1))
+    if p2 > _SERIES_WINDOW:
+        # z/w = e^w lies in [1/e, e^704): the quotient never under- or overflows
+        w = _fritsch(w, lambda w: math.log(z / w))
     w = max(w, -1.0)
     return BranchValue(w, Branch.PRINCIPAL, _residual(w, z))
+
+
+def _wm1(lz: float, p2: float) -> float:
+    # W-1 from lz = log|z| and p2 = 2(ez+1); ratio_a supplies both without z
+    w = _series(-math.sqrt(p2)) if p2 < _SERIES_SEED else lz - math.log(-lz)
+    if p2 > _SERIES_WINDOW:
+        w = _fritsch(w, lambda w: lz - math.log(-w))
+    return w
 
 
 def lambert_wm1(z: float) -> BranchValue:
@@ -152,25 +129,7 @@ def lambert_wm1(z: float) -> BranchValue:
         if z < _BRANCH_POINT - 1e-15:
             raise DomainError(f"lambert_wm1 undefined for z={z} < -1/e")
         z = _BRANCH_POINT
-    if z == _BRANCH_POINT:
-        return BranchValue(-1.0, Branch.LOWER, _residual(-1.0, z))
-    if abs(z - _BRANCH_POINT) <= _BRANCH_WINDOW:
-        w = _puiseux(z, -1.0)
-        return BranchValue(w, Branch.LOWER, _residual(w, z))
-
-    lz = math.log(-z)
-    if lz <= -4.0:
-        # tiny |z|: iterate on w + log(-w) = log(-z), well conditioned where
-        # the linear residual tolerance would accept the raw asymptotic seed
-        w = _log_newton(lz)
-        return BranchValue(w, Branch.LOWER, _residual(w, z))
-    # log-log seed, exact asymptotically as z -> 0-
-    w = lz - math.log(-lz) if lz < -1.0 else -1.0 - math.sqrt(2.0 * (math.e * z + 1.0))
-    w, ok = _halley(w, z)
-    if not ok or w > -1.0:
-        lo, hi = wm1_envelope_bounds(-lz - 1.0)
-        w = _bisect(z, lo - 1e-9, hi + 1e-9)
-    w = min(w, -1.0)
+    w = min(_wm1(math.log(-z), _p2(z)), -1.0)
     return BranchValue(w, Branch.LOWER, _residual(w, z))
 
 
@@ -186,21 +145,6 @@ def wm1_envelope_bounds(u: float) -> tuple[float, float]:
     return (-BRACKET_RATIO_MAX * (u + 1.0), -(u + 1.0))
 
 
-def _log_newton(L: float) -> float:
-    # solve w + log|w| = L: for L <= -4 the w <= -1 root (W-1), for L > 690 the
-    # w > 0 root (W0). The seed L - log|L| sits right of the W-1 root and left
-    # of the W0 root; g is monotone and concave there, so Newton moves
-    # monotonically to it
-    w = L - math.log(abs(L))
-    for _ in range(60):
-        g = w + math.log(abs(w)) - L
-        dw = g / (1.0 + 1.0 / w)
-        w -= dw
-        if abs(dw) <= 1e-16 * abs(w):
-            break
-    return w
-
-
 def ratio_a(u: float) -> float:
     """Bracket sharpness ratio a(u) = -W-1(-e^{-(u+1)})/(u+1) for u >= 0.
 
@@ -209,8 +153,5 @@ def ratio_a(u: float) -> float:
     u = float(u)
     if not u >= 0.0:
         raise DomainError(f"ratio_a requires u >= 0, got {u}")
-    z = -math.exp(-(u + 1.0))
-    if z == 0.0:
-        # the argument underflowed; solve for W-1 in log space instead
-        return -_log_newton(-(u + 1.0)) / (u + 1.0)
-    return -lambert_wm1(z).value / (u + 1.0)
+    # log|z| = -(u+1) and ez+1 = -expm1(-u), so z itself is never formed
+    return -_wm1(-(u + 1.0), -2.0 * math.expm1(-u)) / (u + 1.0)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
@@ -27,6 +28,12 @@ def lambert_bisect(z, branch):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def lambert_mp(z, branch):
+    """W on the given real branch at 40 digits, for the double z, rounded to a float."""
+    with mpmath.workdps(40):
+        return float(mpmath.lambertw(mpmath.mpf(z), branch).real)
 
 
 def lp_envelope(points, values, queries):

@@ -1,6 +1,7 @@
 import decimal
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -252,6 +253,19 @@ def test_t0_maximizer_closed_form_at_ratio_2():
         assert abs(res.t0 - n * (math.e - 1.0) / math.e) <= 1e-12
     with pytest.raises(h.DomainError):
         h.t0_maximizer(3, 1.0)
+
+
+@pytest.mark.parametrize("offset", [1e-12, 1e-9, 5e-9, -1e-12, -1e-9, -5e-9])
+def test_t0_maximizer_next_to_ratio_2(offset):
+    # x0 = (rho-2)/W0((rho-2)/e) in 40 digits for the double rho
+    ratio = 2.0 + offset
+    d = mpmath.mpf(ratio) - 2
+    with mpmath.workdps(40):
+        x0 = d / mpmath.lambertw(d / mpmath.e, 0).real
+        t0 = 5 * (x0 - 1) / (x0 * mpmath.log(x0))
+    res = h.t0_maximizer(5, ratio)
+    assert abs(res.x0 - float(x0)) <= 1e-14 * float(x0)
+    assert abs(res.t0 - float(t0)) <= 1e-14 * float(t0)
 
 
 def test_rho_for_beta_round_trip():

@@ -7,8 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hessint as h
-import hessint.special_functions as sf
-from _oracles import lambert_bisect
+from _oracles import lambert_bisect, lambert_mp
 
 
 def test_w0_known_points():
@@ -144,7 +143,7 @@ def test_wm1_deep_tail_log_identity():
 
 
 def test_ratio_a_past_underflow():
-    # -e^{-(u+1)} underflows to zero here; the log-space path takes over
+    # -e^{-(u+1)} underflows to zero here; ratio_a works from its logarithm
     a = h.ratio_a(800.0)
     assert 1.0 < a < 1.02
 
@@ -154,21 +153,23 @@ def test_ratio_a_past_underflow():
     (sys.float_info.max, 703.2270331047702),  # mpmath, rounded to double
 ])
 def test_w0_near_the_top_of_the_float_range(z, expected):
-    # w e^w overflows inside Halley here; the log-space solve takes over
+    # w e^w would overflow here; the iteration never forms e^w
     bv = h.lambert_w0(z)
     assert abs(bv.value - expected) <= 1e-15 * expected
     assert math.isfinite(bv.residual)
 
 
-@pytest.mark.parametrize("branch, zs", [
-    (0, [-0.3, -0.1, 0.5, 3.0, 1e3, 1e6]),
-    (-1, [-0.3, -0.2, -0.05, -0.02]),
-], ids=["w0", "wm1"])
-def test_bisection_fallback_when_halley_fails(monkeypatch, branch, zs):
-    # Halley converges on every sampled input, so force it to report failure
-    monkeypatch.setattr(sf, "_halley", lambda w, z: (w, False))
+@pytest.mark.parametrize("z, branch", [
+    *[pytest.param(-1.0 / math.e + d, b, id=f"{'w0' if b == 0 else 'wm1'}-offset-{d:.1e}")
+      for d in np.geomspace(1e-12, 1e-3, 19) for b in (0, -1)],
+    pytest.param(-5e-324, -1, id="wm1-subnormal-5e-324"),
+    pytest.param(-1e-310, -1, id="wm1-subnormal-1e-310"),
+    pytest.param(-sys.float_info.min, -1, id="wm1-dbl-min"),
+    pytest.param(1e-300, 0, id="w0-1e-300"),
+    pytest.param(sys.float_info.max, 0, id="w0-dbl-max"),
+])
+def test_lambert_against_mpmath(z, branch):
+    # near -1/e this needs the series window and the two-double z + 1/e
     solver = h.lambert_w0 if branch == 0 else h.lambert_wm1
-    for z in zs:
-        bv = solver(z)
-        assert abs(bv.value - lambert_bisect(z, branch)) <= 1e-13 * max(1.0, abs(bv.value)), z
-        assert bv.residual <= 1e-12 * max(1.0, abs(z))
+    expected = lambert_mp(z, branch)
+    assert abs(solver(z).value - expected) <= 1e-13 * abs(expected)
