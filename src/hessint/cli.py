@@ -187,6 +187,7 @@ def cmd_decay(p: dict) -> tuple[list[dict], dict]:
         print(f"warning: {exc}", file=sys.stderr)
     prov["empirical_ratio"] = rep.empirical_ratio
     prov["theoretical_ratio"] = rep.theoretical_ratio
+    prov.update({f"decay_{k}": v for k, v in rep.stats.items()})
     rows = [{"j": j, "opening": float(a), "count_measure": float(c)}
             for j, (a, c) in enumerate(zip(rep.openings, rep.counts))]
     return rows, prov

@@ -22,10 +22,17 @@ routine for every dimension d = 1, 2, 3: the sampled points are lifted to
 graph space, qhull builds their convex hull in R^(d+1), and the envelope at
 every sample is the maximum over the supporting planes of the
 downward-facing facets (each such plane minorizes the hull function globally
-and is attained on its facet). A wholly flat lift is one facet whose vertices
-are the x-hull corners, and its envelope is the data. qhull is not joggled:
-if it raises on a lift that is not flat, or the samples do not span R^d, the
-result is a GeometryError. An iterated direction-sweep scheme was
+and is attained on its facet). qhull first builds the hull without
+pre-merging ("Q0"): where v is affine, the four cocircular corners of a grid
+cell lift to coplanar points, and merging them makes the default build about
+2.5 times slower on the bump. Without merging, a sample inside a flat face
+can come back as a vertex, so that hull is kept only when every lower-hull
+vertex is an extreme point, checked in numpy (the unit normals of its facets
+span R^(d+1)); otherwise, or if "Q0" raises, qhull's default merged build
+decides. A wholly flat lift is one facet whose vertices are the x-hull
+corners, and its envelope is the data. qhull is not joggled: if it raises on
+a lift that is not flat, or the samples do not span R^d, the result is a
+GeometryError. An iterated direction-sweep scheme was
 considered and rejected: it converges to the separately-convex envelope,
 which on generic 2-D data sits order-one above the true envelope.
 """
@@ -50,6 +57,9 @@ _AFFINE_RTOL = 1e-9
 _CERT_RTOL = 1e-12
 _CERT_BLOCK = 100_000  # elements per block of the primal certificate check
 _QHULL_OPTIONS = ("Q0", "Qx")  # no pre-merge first, then merged facets
+# least eigenvalue of sum n n^T (unit facet normals at a vertex) that shows the
+# vertex is an extreme point; inside a flat face it is zero up to rounding
+_VERTEX_MARGIN = 1e-12
 
 
 @dataclass
@@ -229,11 +239,16 @@ def grid_from_callable(f, dim: int, points_per_axis: int, domain_radius: float =
 
 @dataclass
 class EnvelopeResult:
-    """Envelope values and the contact mask at one opening."""
+    """Envelope values and the contact mask at one opening.
+
+    stats holds the hull engine's integer counters (see _contact): hull_calls,
+    hull_points, lower_facets, q0_raised and q0_rejected.
+    """
 
     opening: float
     envelope: np.ndarray
     contact_mask: np.ndarray
+    stats: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -252,8 +267,10 @@ class ThetaField:
     contact_facets (facets with c_v > 0), qhull_option (0 for "Q0", 1 for
     "Qx", -1 where no lifted hull is needed: a flat cloud, or one whose
     samples are all x-hull vertices), fallbacks (hull builds that raised or
-    left a sample uncertified) and certified (samples whose two bounds
-    agree).
+    left a sample uncertified), q0_uncertified (samples the "Q0" hull left
+    uncertified; 0 when that hull raised or was not needed, so fallbacks 1
+    with q0_uncertified 0 means "Q0" raised) and certified (samples whose two
+    bounds agree).
     """
 
     theta: np.ndarray
@@ -285,13 +302,18 @@ class TailDistribution:
 
 @dataclass
 class DecayReport:
-    """Non-contact measures along geometric openings vs the guaranteed ratio."""
+    """Non-contact measures along geometric openings vs the guaranteed ratio.
+
+    stats sums the hull engine's counters (as in EnvelopeResult) over the
+    openings.
+    """
 
     delta: float
     openings: np.ndarray
     counts: np.ndarray
     empirical_ratio: float
     theoretical_ratio: float
+    stats: dict = field(default_factory=dict)
 
 
 def _corners(points: np.ndarray) -> np.ndarray:
@@ -315,36 +337,54 @@ def _affine_fit(A: np.ndarray, y: np.ndarray):
 
 
 def _contact(points: np.ndarray, values: np.ndarray, a: float, need_values: bool):
-    """Lower hull of values + (a/2)|x|^2: (a-convex envelope or None, contact mask).
+    """Lower hull of values + (a/2)|x|^2: (a-convex envelope or None, contact mask, counters).
 
     The mask marks vertices of downward facets; the envelope is the lift at
     those vertices and the largest supporting plane of those facets at every
     other sample. A flat lift is one facet whose vertices are the x-hull
-    corners, and its envelope is the data.
+    corners, and its envelope is the data. The hull is built without
+    pre-merging ("Q0") and kept only when every marked sample passes
+    _extreme_at; otherwise, or if "Q0" raises, it is rebuilt with qhull's
+    default merging. The counters are hull_calls and hull_points (lifted-hull
+    builds and the points they were given), lower_facets (of the hull used),
+    and q0_raised and q0_rejected (1 where "Q0" raised or failed the vertex
+    check, and the merged build was used).
     """
     n, d = points.shape
     shift = 0.5 * a * (points ** 2).sum(axis=1)
     lifted = values + shift
+    cloud = np.column_stack([points, lifted])
     on_hull = np.zeros(n, dtype=bool)
-    try:
-        hull = ConvexHull(np.column_stack([points, lifted]))
-    except QhullError as exc:
-        if _affine_fit(np.column_stack([points, np.ones(n)]), lifted) is None:
-            raise GeometryError(f"qhull failed on a lift of {n} samples that is not flat") from exc
-        on_hull[_corners(points)] = True
-        return (lifted - shift if need_values else None), on_hull
+    stats = dict(hull_calls=0, hull_points=0, lower_facets=0, q0_raised=0, q0_rejected=0)
+    for option in ("Q0", None):     # None: qhull's default, merged facets
+        stats["hull_calls"] += 1
+        stats["hull_points"] += n
+        try:
+            hull = ConvexHull(cloud, qhull_options=option)
+        except QhullError as exc:
+            if option:
+                stats["q0_raised"] = 1
+                continue
+            if _affine_fit(np.column_stack([points, np.ones(n)]), lifted) is None:
+                raise GeometryError(
+                    f"qhull failed on a lift of {n} samples that is not flat") from exc
+            on_hull[_corners(points)] = True
+            return (lifted - shift if need_values else None), on_hull, stats
+        lower = hull.equations[:, d] < -_VERTICAL_TOL
+        verts = np.unique(hull.simplices[lower])
+        if option is None or _extreme_at(hull, verts):
+            break
+        stats["q0_rejected"] = 1
 
-    eqs = hull.equations
-    lower = eqs[:, d] < -_VERTICAL_TOL
-    if lower.any():
-        on_hull[np.unique(hull.simplices[lower])] = True
+    on_hull[verts] = True
+    stats["lower_facets"] = int(lower.sum())
     if not need_values:
-        return None, on_hull
+        return None, on_hull, stats
 
     off = ~on_hull
     off_pts = points[off]
     best = np.full(len(off_pts), -np.inf)
-    E = eqs[lower]
+    E = hull.equations[lower]
     # z(x) = -(offset + n_x . x) / n_z, maximized over downward facets;
     # blockwise to bound the temporary at ~8 MB
     block = max(1, int(1_000_000 // max(1, len(off_pts))))
@@ -354,7 +394,25 @@ def _contact(points: np.ndarray, values: np.ndarray, a: float, need_values: bool
         best = np.maximum(best, z.max(axis=0))
     env = lifted.copy()
     env[off] = np.minimum(best, lifted[off])
-    return env - shift, on_hull
+    return env - shift, on_hull, stats
+
+
+def _extreme_at(hull, verts: np.ndarray) -> bool:
+    """Whether every hull vertex in verts is an extreme point of the cloud.
+
+    A vertex is extreme exactly when the unit normals of the facets at it span
+    R^D; at a point inside a flat face they lie in one proper subspace. So
+    G_i = sum n n^T over every facet at vertex i (vertical ones included) must
+    have its least eigenvalue above _VERTEX_MARGIN for each i in verts.
+    """
+    normals = hull.equations[:, :-1]
+    D = normals.shape[1]
+    owner = hull.simplices.ravel()
+    G = np.empty((len(verts), D, D))
+    for j, k in zip(*np.triu_indices(D)):
+        weights = np.repeat(normals[:, j] * normals[:, k], D)
+        G[:, j, k] = G[:, k, j] = np.bincount(owner, weights)[verts]
+    return bool((np.linalg.eigvalsh(G)[:, 0] > _VERTEX_MARGIN).all())
 
 
 def convex_envelope(w: GridFunction) -> GridFunction:
@@ -375,7 +433,8 @@ def a_convex_envelope(v: GridFunction, a: float) -> EnvelopeResult:
     if not (a >= 0.0 and math.isfinite(a)):
         raise DomainError(f"opening must be finite and >= 0, got {a}")
     pts, _, inside = v._coords()
-    env_in, on_hull = _contact(pts[inside], v.values.ravel()[inside], a, need_values=True)
+    env_in, on_hull, stats = _contact(pts[inside], v.values.ravel()[inside], a,
+                                      need_values=True)
 
     envelope = np.full(v.values.size, np.nan)
     envelope[inside] = env_in
@@ -385,6 +444,7 @@ def a_convex_envelope(v: GridFunction, a: float) -> EnvelopeResult:
         opening=float(a),
         envelope=envelope.reshape(v.shape),
         contact_mask=contact.reshape(v.shape),
+        stats=stats,
     )
 
 
@@ -447,7 +507,7 @@ def _exact_theta(points: np.ndarray, values: np.ndarray):
     q = 0.5 * (points ** 2).sum(axis=1)
     corners = _corners(points)
     stats = dict(hull_points=n, hull_facets=0, contact_facets=0, qhull_option=-1,
-                 fallbacks=0, certified=n)
+                 fallbacks=0, q0_uncertified=0, certified=n)
     if len(corners) == n:
         return np.zeros(n), np.zeros(n), stats
     cloud = np.column_stack([points, values, q])
@@ -466,6 +526,8 @@ def _exact_theta(points: np.ndarray, values: np.ndarray):
                 return theta, theta, stats
             continue
         lo, hi, failed, contact_facets = _certified_theta(hull, cloud, d, corners)
+        if k == 0:
+            stats["q0_uncertified"] = failed
         if failed == 0:
             stats.update(hull_facets=len(hull.simplices), contact_facets=contact_facets,
                          qhull_option=k, fallbacks=k)
@@ -606,18 +668,23 @@ def decay_experiment(v: GridFunction, delta: float, levels: int,
     pts = pts[inside]
     base = v.values.ravel()[inside]
     counts = np.empty(levels + 1)
+    stats: dict = {}
     for j, a in enumerate(openings):
-        on_hull = _contact(pts, base, float(a), need_values=False)[1]
+        _, on_hull, hull_stats = _contact(pts, base, float(a), need_values=False)
         counts[j] = (~on_hull).sum() * v.cell_measure
+        for k, c in hull_stats.items():
+            stats[k] = stats.get(k, 0) + c
 
     theoretical = 1.0 - c_star(e) * (1.0 + 1.0 / delta) ** (-e.n)
     nz = counts > 0
     if nz.sum() < 3:
         partial = DecayReport(delta=float(delta), openings=openings, counts=counts,
-                              empirical_ratio=math.nan, theoretical_ratio=theoretical)
+                              empirical_ratio=math.nan, theoretical_ratio=theoretical,
+                              stats=stats)
         raise DegenerateData(
             f"only {int(nz.sum())} nonzero counts; need 3 for a decay fit", report=partial
         )
     slope, _ = np.polyfit(np.arange(levels + 1)[nz], np.log(counts[nz]), 1)
     return DecayReport(delta=float(delta), openings=openings, counts=counts,
-                       empirical_ratio=float(math.exp(slope)), theoretical_ratio=theoretical)
+                       empirical_ratio=float(math.exp(slope)), theoretical_ratio=theoretical,
+                       stats=stats)

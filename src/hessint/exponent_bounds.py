@@ -33,6 +33,7 @@ from .special_functions import lambert_w0, lambert_wm1
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 _GOLDEN_LO = -5.432115203682506e-17  # phi - _GOLDEN, the part the float drops
 _LN_GOLDEN = math.asinh(0.5)  # ln phi
+_SPLIT = 2.0 ** 27 + 1.0  # Veltkamp's constant: splits a double into two 26-bit halves
 # gamma values for the maximizer scan of epsilon_interior: 1 - gamma geometric
 # from 1 - 1e-9 down to 2^-53, so the maximizer stays inside the scan as c -> 1
 _SCAN = 1.0 - np.geomspace(1.0 - 1e-9, 2.0 ** -53, 1000)
@@ -121,12 +122,30 @@ def c_lower_bound(e: Ellipticity) -> float:
     rho^(k-n) b^(n-k) with b = 1 + ((n-2k)/(n-k))(1 - 1/rho); sharpens the
     trivial rho^(k-n) by the explicit bracket b on the base. Taken as
     (b/rho)^(n-k): b <= rho, so no factor overflows or underflows before the
-    product does.
+    product does. The rounding of q = fl(b/rho) would be raised to the power
+    n - k with it, so the exact remainder r = b - q rho corrects it to first
+    order: (b/rho)^m = q^m (1 + r/b)^m ~ q^m (1 + m r/b).
     """
     n, k = e.n, e.k
     if not 2 * k < n:
         raise DomainError(f"c_lower_bound requires k < n/2, got k={k}, n={n}")
-    return (_c_lower_base(e) / e.ratio) ** (n - k)
+    b = _c_lower_base(e)
+    q = b / e.ratio
+    power = q ** (n - k)
+    if power == 0.0:  # also wherever rho is too large to split (above 1e300)
+        return power
+    p, err = _two_product(q, e.ratio)
+    return power * (1.0 + (n - k) * ((b - p) - err) / b)
+
+
+def _two_product(x: float, y: float) -> tuple[float, float]:
+    # Dekker's product: x*y = p + err exactly, with Veltkamp's 27-bit split
+    # (math.fma would do it in one step, but needs Python 3.13)
+    p = x * y
+    cx, cy = _SPLIT * x, _SPLIT * y
+    x_hi, y_hi = cx - (cx - x), cy - (cy - y)
+    x_lo, y_lo = x - x_hi, y - y_hi
+    return p, ((x_hi * y_hi - p) + x_hi * y_lo + x_lo * y_hi) + x_lo * y_lo
 
 
 def _c_lower_base(e: Ellipticity) -> float:

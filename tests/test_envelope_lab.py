@@ -372,6 +372,89 @@ def test_contact_mask_agrees_with_theta_brackets():
             assert not contact[inside & (tf.bracket_lo > a + margin)].any()
 
 
+def _merged_mask(pts, lifted):
+    # the contact mask read from qhull's default merged hull: the vertices of
+    # its downward facets, or the x-hull corners where the lift is flat
+    try:
+        hull = ConvexHull(np.column_stack([pts, lifted]))
+    except QhullError:
+        return _corner_mask(pts)
+    mask = np.zeros(len(pts), dtype=bool)
+    mask[hull.simplices[hull.equations[:, -2] < -1e-12].ravel()] = True
+    return mask
+
+
+def _hull_corpus():
+    # (grid, openings, the critical opening, the counter its rebuild raises):
+    # the paraboloid lifts flat at 4, so "Q0" raises; the others have a flat
+    # face in the lift there, whose inner samples fail the vertex check
+    parab = h.grid_from_callable(lambda p: -2.0 * (p ** 2).sum(axis=1), 2, 33)
+    plateau = h.grid_from_callable(lambda p: np.maximum(-8.0 * (p ** 2).sum(axis=1), -1.0),
+                                   2, 65)
+    lattice = h.build_v(h.RadialProfile(3, 3.0, 0.125, 1.0, 2.0),
+                        h.grid_from_callable(lambda p: np.zeros(len(p)), 2, 65))
+    bump3 = h.capped_bump(h.RadialProfile(3, 3.0, 0.35, 1.0, 2.0), 17, centre=(0.0, 0.0, 0.0))
+    return [(parab, (2.0, 4.0, 8.0), 4.0, "q0_raised"),
+            (plateau, (3.0, 16.0, 40.0), 16.0, "q0_rejected"),
+            (ridge_2d(), (0.5, 1.0, 2.0), 1.0, "q0_rejected"),
+            (lattice, (1.0, 2.0, 5.0), 2.0, "q0_rejected"),
+            (bump3, (0.0, 4.0), 0.0, "q0_rejected")]
+
+
+def test_contact_mask_equals_merged_hull():
+    # the "Q0" hull is kept only where its marked vertices are extreme points,
+    # so the mask is the merged hull's, at generic and at critical openings
+    corpus = _hull_corpus()
+    for g, openings, critical, reason in corpus:
+        pts, _, inside = g._coords()
+        pts, vals = pts[inside], g.values.ravel()[inside]
+        for a in openings:
+            _, mask, stats = lab._contact(pts, vals, a, need_values=False)
+            lifted = vals + 0.5 * a * (pts ** 2).sum(axis=1)
+            assert np.array_equal(mask, _merged_mask(pts, lifted)), (g.shape, a)
+            rebuilt = int(a == critical)
+            assert stats[reason] == stats["q0_raised"] + stats["q0_rejected"] == rebuilt, \
+                (g.shape, a, stats)
+            assert stats["hull_calls"] == 1 + rebuilt
+            assert stats["hull_points"] == stats["hull_calls"] * len(pts)
+    # the counters reach EnvelopeResult; a flat lift has no lower facets
+    parab = corpus[0][0]
+    assert h.a_convex_envelope(parab, 4.0).stats == dict(
+        hull_calls=2, hull_points=2 * int(parab.inside_mask().sum()), lower_facets=0,
+        q0_raised=1, q0_rejected=0)
+
+
+def test_q0_hull_with_a_non_extreme_vertex_is_rebuilt(monkeypatch):
+    # a "Q0" hull built with one sample inside the lower hull pushed 1e-12 below
+    # its envelope: that sample comes back as a vertex of near-coplanar facets,
+    # the vertex check refuses the hull and the merged build is used
+    g = ridge_2d()
+    a = 2.0
+    inside = g.inside_mask()
+    plain = h.a_convex_envelope(g, a)
+    off = np.flatnonzero(~plain.contact_mask[inside])
+    target = off[len(off) // 2]
+    gap = g.values[inside][target] - plain.envelope[inside][target]
+    assert gap > 1e-4
+
+    def hull(cloud, qhull_options=None):
+        if qhull_options == "Q0":
+            cloud = cloud.copy()
+            cloud[target, -1] -= gap + 1e-12
+        return ConvexHull(cloud, qhull_options=qhull_options)
+    monkeypatch.setattr(lab, "ConvexHull", hull)
+    pts = g.points()[inside.ravel()]
+    shifted = g.values[inside] + 0.5 * a * (pts ** 2).sum(axis=1)
+    shifted[target] -= gap + 1e-12
+    assert (ConvexHull(np.column_stack([pts, shifted]), qhull_options="Q0").simplices
+            == target).any()
+    checked = h.a_convex_envelope(g, a)
+    assert checked.stats["q0_rejected"] == 1 and checked.stats["hull_calls"] == 2
+    assert np.array_equal(checked.contact_mask, plain.contact_mask)
+    # plain kept its "Q0" hull: another triangulation of the same lower hull
+    assert np.abs(checked.envelope[inside] - plain.envelope[inside]).max() <= 1e-13
+
+
 def test_envelope_ordering_in_opening():
     for g in (ridge_1d(), ridge_2d()):
         inside = g.inside_mask()
@@ -540,9 +623,11 @@ def _failing_hull(fail):
 def test_theta_merged_fallback_matches(bump33, monkeypatch):
     plain = h.theta_field(bump33, a_max=600.0)
     assert plain.stats["qhull_option"] == 0 and plain.stats["fallbacks"] == 0
+    assert plain.stats["q0_uncertified"] == 0
     monkeypatch.setattr(lab, "ConvexHull", _failing_hull(lambda opt: opt == "Q0"))
     merged = h.theta_field(bump33, a_max=600.0)
     assert merged.stats["qhull_option"] == 1 and merged.stats["fallbacks"] == 1
+    assert merged.stats["q0_uncertified"] == 0   # "Q0" raised: no certificate failed
     inside = bump33.inside_mask()
     for name in ("theta", "bracket_lo", "bracket_hi"):
         x, y = getattr(plain, name)[inside], getattr(merged, name)[inside]
@@ -586,6 +671,7 @@ def test_theta_missing_facets_are_caught(bump33, monkeypatch):
     monkeypatch.setattr(lab, "ConvexHull", hull)
     checked = h.theta_field(bump33, a_max=600.0)
     assert checked.stats["fallbacks"] == 1
+    assert checked.stats["q0_uncertified"] >= 1  # a certificate failed on "Q0"
     inside = bump33.inside_mask()
     assert np.allclose(checked.theta[inside], plain.theta[inside], rtol=1e-12, atol=1e-12)
 

@@ -232,6 +232,31 @@ def test_bounds_past_the_power_overflow_match_decimal_arithmetic():
             h.thresholds(alpha, E321)
 
 
+def test_c_lower_bound_within_37_ulps_of_decimal_arithmetic():
+    # the 2,920 distinct (n, rho, k) of the benchmark sweep for seeds 1 and 7
+    # (20 log-uniform ratios in (1, 100] per seed, n = 3..40, both k rules).
+    # fl(b/rho)^(n-k) alone was up to 66 ulps off; with the remainder
+    # correction what is left is b's own rounding, 37.07 ulps at worst, as
+    # for the product rho^(k-n) b^(n-k)
+    configs = set()
+    for seed in (1, 7):
+        for ratio in 100.0 ** (1.0 - np.random.default_rng([seed, 1]).uniform(size=20)):
+            for n in range(3, 41):
+                configs |= {(n, float(ratio), 1), (n, float(ratio), max(1, n // 2 - 1))}
+    assert len(configs) == 2920
+    worst = 0.0
+    with decimal.localcontext(prec=60):
+        D = decimal.Decimal
+        for n, ratio, k in configs:
+            b = 1 + D(n - 2 * k) / D(n - k) * (1 - 1 / D(ratio))
+            want = (b / D(ratio)) ** (n - k)
+            got = h.c_lower_bound(h.Ellipticity(n, ratio, k))
+            worst = max(worst, float(abs(D(got) - want)) / math.ulp(float(want)))
+    assert worst <= 37.5
+    # rho too large to split: the power underflows to 0 first
+    assert h.c_lower_bound(h.Ellipticity(3, 1e301, 1)) == 0.0
+
+
 def test_thresholds_rank_selection():
     _, eps, _ = h.epsilon_interior(E321)
     assert h.thresholds(0.1, E321).j == 2          # ceil(1.4225...)
