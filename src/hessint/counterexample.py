@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import gamma as _gamma_fn
 
 from .envelope_lab import GridFunction, grid_from_callable
-from .errors import (AdmissibilityError, ConditionError, DomainError, GeometryError)
+from .errors import AdmissibilityError, ConditionError, DomainError, GeometryError, is_int
 
 _TRUNCATION_CAP = 1.0
 
@@ -48,9 +48,9 @@ class RadialProfile:
             raise DomainError(f"alpha must be positive, got {self.alpha}")
         if not 0.0 < self.R < 1.0:
             raise DomainError(f"R must lie in (0,1), got {self.R}")
-        if not 0.0 < self.lam <= self.Lam:
+        if not 0.0 < self.lam <= self.Lam < math.inf:
             raise DomainError(
-                f"need 0 < lambda <= Lambda, got lambda={self.lam}, Lambda={self.Lam}"
+                f"need 0 < lambda <= Lambda < inf, got lambda={self.lam}, Lambda={self.Lam}"
             )
         object.__setattr__(
             self, "admissible",
@@ -137,8 +137,8 @@ def lattice_admissible_radius(dim: int, m: int) -> float:
     Solves 1/(8 sqrt(dim) R) = m + 1/(2 sqrt(dim)), i.e.
     R = 1/(8 sqrt(dim) m + 4).
     """
-    if not isinstance(m, int) or m < 1:
-        raise DomainError(f"lattice index m must be an integer >= 1, got {m}")
+    if not (is_int(dim) and dim >= 1 and is_int(m) and m >= 1):
+        raise DomainError(f"lattice dimension and index m must be integers >= 1, got {dim}, {m}")
     return 1.0 / (8.0 * math.sqrt(dim) * m + 4.0)
 
 
@@ -172,7 +172,7 @@ def lattice_ball_count(dim: int, R: float) -> int:
     Every floor is floor(sqrt(x) + 1e-12), x < 0 read as 0, as in a count
     slice by slice, and the count equals that one exactly.
     """
-    if not isinstance(dim, int) or dim < 1:
+    if not is_int(dim) or dim < 1:
         raise DomainError(f"lattice dimension must be an integer >= 1, got {dim}")
     if not 0.0 < R < 0.25:
         raise GeometryError(f"lattice requires 0 < R < 1/4, got {R}")
@@ -277,6 +277,8 @@ def lp_lower_bound(p: RadialProfile, epsilon: float) -> float:
     admissible window (n-1) rho - 1 >= alpha > n/eps - 2 being nonempty.
     """
     n, a = p.n, p.alpha
+    if not math.isfinite(epsilon):
+        raise DomainError(f"epsilon must be finite, got {epsilon}")
     if not _check_divergence_condition(n, p.ratio, epsilon):
         raise ConditionError(
             f"((n-1)rho+1)eps = {((n - 1) * p.ratio + 1) * epsilon:.6g} must exceed n = {n}"

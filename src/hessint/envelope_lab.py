@@ -11,30 +11,17 @@ super-level sets give the Hessian integrability tail.
 Theta, the envelope's contact mask and the decay counts share one contact
 test: the lifted sample is a vertex of a downward facet of the lower hull.
 Samples strictly inside a flat facet touch yet count as contact only at larger a.
-Theta comes exact from one hull of the samples lifted to (x, v, |x|^2/2) in
-R^(d+2): contact at opening a is a direction inside a vertex's normal cone,
-so Theta_i is the least c_q/c_v over the inward facet normals at sample i
-(see theta_field), with both ends checked against the data by an LP-duality
-certificate pair.
 
-The convex envelope of the discrete point cloud is computed exactly, by one
-routine for every dimension d = 1, 2, 3: the sampled points are lifted to
-graph space, qhull builds their convex hull in R^(d+1), and the envelope at
-every sample is the maximum over the supporting planes of the
-downward-facing facets (each such plane minorizes the hull function globally
-and is attained on its facet). qhull first builds the hull without
-pre-merging ("Q0"): where v is affine, the four cocircular corners of a grid
-cell lift to coplanar points, and merging them makes the default build about
-2.5 times slower on the bump. Without merging, a sample inside a flat face
-can come back as a vertex, so that hull is kept only when every lower-hull
-vertex is an extreme point, checked in numpy (the unit normals of its facets
-span R^(d+1)); otherwise, or if "Q0" raises, qhull's default merged build
-decides. A wholly flat lift is one facet whose vertices are the x-hull
-corners, and its envelope is the data. qhull is not joggled: if it raises on
-a lift that is not flat, or the samples do not span R^d, the result is a
-GeometryError. An iterated direction-sweep scheme was
-considered and rejected: it converges to the separately-convex envelope,
-which on generic 2-D data sits order-one above the true envelope.
+All of them come from qhull hulls of lifted samples, built by _lifted_hull
+with one qhull policy and one counter set. The lower hull of
+(x, v + (a/2)|x|^2) in R^(d+1), d = 1, 2, 3, gives the contact mask and the
+exact a-convex envelope: at every sample, the maximum over the supporting
+planes of the downward-facing facets (each minorizes the hull function
+globally and is attained on its facet). One hull of (x, v, |x|^2/2) in
+R^(d+2) gives Theta exactly, read off its facet normals and certified by LP
+duality (see theta_field). An iterated direction-sweep scheme was considered
+and rejected: it converges to the separately-convex envelope, which on
+generic 2-D data sits order-one above the true envelope.
 """
 
 from __future__ import annotations
@@ -49,7 +36,8 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .errors import DegenerateData, DomainError, GeometryError, GridFormatError
+from .errors import (DegenerateData, DomainError, GeometryError, GridFormatError, is_int,
+                     is_number)
 from .exponent_bounds import Ellipticity, c_star
 
 _VERTICAL_TOL = 1e-12
@@ -57,6 +45,7 @@ _AFFINE_RTOL = 1e-9
 _CERT_RTOL = 1e-12
 _CERT_BLOCK = 100_000  # elements per block of the primal certificate check
 _QHULL_OPTIONS = ("Q0", "Qx")  # no pre-merge first, then merged facets
+_HULL_COUNTERS = ("hull_calls", "hull_points", "q0_raised", "q0_rejected")
 # least eigenvalue of sum n n^T (unit facet normals at a vertex) that shows the
 # vertex is an extreme point; inside a flat face it is zero up to rounding
 _VERTEX_MARGIN = 1e-12
@@ -169,11 +158,11 @@ class GridFunction:
         if missing:
             raise GridFormatError(f"grid header {path} missing keys: {sorted(missing)}")
         shape, center = header["shape"], header["center"]
-        if not (_is_int(header["dim"]) and isinstance(shape, list) and shape
-                and all(_is_int(s) and s > 0 for s in shape)):
+        if not (is_int(header["dim"]) and isinstance(shape, list) and shape
+                and all(is_int(s) and s > 0 for s in shape)):
             raise GridFormatError(f"grid header {path}: dim and shape must be positive integers")
-        if not (isinstance(center, list) and all(map(_is_number, center))
-                and _is_number(header["spacing"]) and _is_number(header["domain_radius"])):
+        if not (isinstance(center, list) and all(map(is_number, center))
+                and is_number(header["spacing"]) and is_number(header["domain_radius"])):
             raise GridFormatError(
                 f"grid header {path}: spacing, center and domain_radius must be numbers")
         count = math.prod(shape)
@@ -184,7 +173,7 @@ class GridFunction:
         if isinstance(payload, list):
             if len(payload) != count:
                 raise GridFormatError(f"inline payload in {path} has wrong length")
-            if not all(x is None or _is_number(x) for x in payload):
+            if not all(x is None or is_number(x) for x in payload):
                 raise GridFormatError(f"inline payload in {path} holds a non-number")
             vals = np.array([math.nan if x is None else float(x) for x in payload])
         elif isinstance(payload, str):
@@ -212,15 +201,6 @@ class GridFunction:
         )
 
 
-def _is_int(x) -> bool:
-    # JSON integers only: bool is an int subclass, and true must not read as 1
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_number(x) -> bool:
-    return _is_int(x) or isinstance(x, float)
-
-
 def grid_from_callable(f, dim: int, points_per_axis: int, domain_radius: float = 1.0,
                        center: tuple | None = None, extent: float | None = None) -> GridFunction:
     """Sample f(points)->values on a fresh grid; NaN outside the ball."""
@@ -241,8 +221,9 @@ def grid_from_callable(f, dim: int, points_per_axis: int, domain_radius: float =
 class EnvelopeResult:
     """Envelope values and the contact mask at one opening.
 
-    stats holds the hull engine's integer counters (see _contact): hull_calls,
-    hull_points, lower_facets, q0_raised and q0_rejected.
+    stats holds the counters of _lifted_hull (hull_calls, hull_points,
+    q0_raised, q0_rejected) and lower_facets, the downward facets of the hull
+    used (0 for a flat lift).
     """
 
     opening: float
@@ -263,14 +244,10 @@ class ThetaField:
     points at least two cells away from the ball boundary; boundary-ring
     values are reported but carry extra discretization error.
 
-    stats holds the engine's integer counters: hull_points, hull_facets,
-    contact_facets (facets with c_v > 0), qhull_option (0 for "Q0", 1 for
-    "Qx", -1 where no lifted hull is needed: a flat cloud, or one whose
-    samples are all x-hull vertices), fallbacks (hull builds that raised or
-    left a sample uncertified), q0_uncertified (samples the "Q0" hull left
-    uncertified; 0 when that hull raised or was not needed, so fallbacks 1
-    with q0_uncertified 0 means "Q0" raised) and certified (samples whose two
-    bounds agree).
+    stats holds the counters of _lifted_hull (hull_calls, hull_points,
+    q0_raised, q0_rejected), hull_facets and contact_facets (facets of the
+    hull used, and those with c_v > 0; both 0 where no lifted hull was used)
+    and certified (samples whose two bounds agree).
     """
 
     theta: np.ndarray
@@ -336,46 +313,67 @@ def _affine_fit(A: np.ndarray, y: np.ndarray):
     return coef
 
 
+def _lifted_hull(cloud: np.ndarray, d: int, check):
+    """Hull of a lifted cloud: (hull, check's result, counters), or (None, affine fit, counters).
+
+    "Q0" (no pre-merge) first: merging the coplanar lifts of cocircular grid
+    cells costs 2.5 times more on the contact hull of the bump and 10-25 times
+    more on Theta's. A sample inside a flat face can then come back as a
+    vertex, so that hull is kept only when check(hull) -> (result, ok) accepts
+    it. Otherwise, or if "Q0" raises on a lift that is not flat, one merged
+    ("Qx") rebuild is returned with check's result on it; qhull is not
+    joggled, and "Qx" raising is a GeometryError. The lift is flat when column
+    d is affine in the others plus a constant (last in the fit). Counters:
+    hull_calls and hull_points (builds, raised ones included, and their
+    points), q0_raised (flat lifts included) and q0_rejected (check refused).
+    """
+    n = len(cloud)
+    stats = dict.fromkeys(_HULL_COUNTERS, 0)
+    for option in _QHULL_OPTIONS:
+        stats["hull_calls"] += 1
+        stats["hull_points"] += n
+        rebuild = stats["hull_calls"] > 1
+        try:
+            hull = ConvexHull(cloud, qhull_options=option)
+        except QhullError as exc:
+            if rebuild:
+                raise GeometryError(
+                    f"qhull failed on a lift of {n} samples that is not flat") from exc
+            stats["q0_raised"] = 1
+            coef = _affine_fit(np.column_stack([np.delete(cloud, d, axis=1), np.ones(n)]),
+                               cloud[:, d])
+            if coef is not None:
+                return None, coef, stats
+            continue
+        result, ok = check(hull)
+        if ok or rebuild:
+            return hull, result, stats
+        stats["q0_rejected"] = 1
+
+
 def _contact(points: np.ndarray, values: np.ndarray, a: float, need_values: bool):
     """Lower hull of values + (a/2)|x|^2: (a-convex envelope or None, contact mask, counters).
 
-    The mask marks vertices of downward facets; the envelope is the lift at
-    those vertices and the largest supporting plane of those facets at every
-    other sample. A flat lift is one facet whose vertices are the x-hull
-    corners, and its envelope is the data. The hull is built without
-    pre-merging ("Q0") and kept only when every marked sample passes
-    _extreme_at; otherwise, or if "Q0" raises, it is rebuilt with qhull's
-    default merging. The counters are hull_calls and hull_points (lifted-hull
-    builds and the points they were given), lower_facets (of the hull used),
-    and q0_raised and q0_rejected (1 where "Q0" raised or failed the vertex
-    check, and the merged build was used).
+    The mask marks vertices of downward facets, checked by _extreme_at (the
+    x-hull corners where the lift is flat: one facet); the envelope is the lift
+    there and the largest supporting plane of those facets elsewhere (the data
+    where flat). The counters are _lifted_hull's plus lower_facets.
     """
     n, d = points.shape
     shift = 0.5 * a * (points ** 2).sum(axis=1)
     lifted = values + shift
-    cloud = np.column_stack([points, lifted])
-    on_hull = np.zeros(n, dtype=bool)
-    stats = dict(hull_calls=0, hull_points=0, lower_facets=0, q0_raised=0, q0_rejected=0)
-    for option in ("Q0", None):     # None: qhull's default, merged facets
-        stats["hull_calls"] += 1
-        stats["hull_points"] += n
-        try:
-            hull = ConvexHull(cloud, qhull_options=option)
-        except QhullError as exc:
-            if option:
-                stats["q0_raised"] = 1
-                continue
-            if _affine_fit(np.column_stack([points, np.ones(n)]), lifted) is None:
-                raise GeometryError(
-                    f"qhull failed on a lift of {n} samples that is not flat") from exc
-            on_hull[_corners(points)] = True
-            return (lifted - shift if need_values else None), on_hull, stats
+
+    def lower_vertices(hull):
         lower = hull.equations[:, d] < -_VERTICAL_TOL
         verts = np.unique(hull.simplices[lower])
-        if option is None or _extreme_at(hull, verts):
-            break
-        stats["q0_rejected"] = 1
+        return (lower, verts), _extreme_at(hull, verts)
 
+    hull, found, stats = _lifted_hull(np.column_stack([points, lifted]), d, lower_vertices)
+    on_hull = np.zeros(n, dtype=bool)
+    if hull is None:
+        on_hull[_corners(points)] = True
+        return (lifted - shift if need_values else None), on_hull, stats | {"lower_facets": 0}
+    lower, verts = found
     on_hull[verts] = True
     stats["lower_facets"] = int(lower.sum())
     if not need_values:
@@ -466,10 +464,9 @@ def theta_field(v: GridFunction, a_max: float, bisect_tol: float | None = None) 
     minimising facet, stays below all N samples (so Theta <= a), and
     bracket_lo is sum_k lam_k (v_i - v_k) for weights lam >= 0 on the other
     vertices of a minimising facet with sum lam_k dx_k = 0 and
-    sum lam_k |dx_k|^2/2 = 1 (so Theta >= it, by LP duality). qhull runs
-    without pre-merging ("Q0") first; if it raises or any certificate fails,
-    the hull is rebuilt once with merged facets ("Qx"), and if that fails too
-    GeometryError names the count of uncertified samples.
+    sum lam_k |dx_k|^2/2 = 1 (so Theta >= it, by LP duality). These
+    certificates are the check of _lifted_hull; GeometryError names the count
+    of samples they leave uncertified on the merged rebuild.
 
     theta is bracket_hi where it is at most a_max (converged), and a_max with
     converged False elsewhere. bisect_tol is accepted and ignored; it is
@@ -502,42 +499,32 @@ def theta_field(v: GridFunction, a_max: float, bisect_tol: float | None = None) 
 
 
 def _exact_theta(points: np.ndarray, values: np.ndarray):
-    """Certified (lo, hi) bounds on Theta per sample, and the engine's counters."""
+    """Certified (lo, hi) bounds on Theta per sample, and the counters (see ThetaField)."""
     n, d = points.shape
     q = 0.5 * (points ** 2).sum(axis=1)
     corners = _corners(points)
-    stats = dict(hull_points=n, hull_facets=0, contact_facets=0, qhull_option=-1,
-                 fallbacks=0, q0_uncertified=0, certified=n)
+    no_hull = dict(hull_facets=0, contact_facets=0, certified=n)
     if len(corners) == n:
-        return np.zeros(n), np.zeros(n), stats
+        # Theta = 0 at every x-hull vertex; with no sample left inside, the lift
+        # may span no hull (four square corners have equal q)
+        return np.zeros(n), np.zeros(n), dict.fromkeys(_HULL_COUNTERS, 0) | no_hull
     cloud = np.column_stack([points, values, q])
-    failed = n
-    for k, option in enumerate(_QHULL_OPTIONS):
-        try:
-            hull = ConvexHull(cloud, qhull_options=option)
-        except QhullError:
-            # a flat lift, v = b.x + c q + e: Theta = max(0, -c) off the corners
-            coef = (_affine_fit(np.column_stack([points, q, np.ones(n)]), values)
-                    if k == 0 else None)
-            if coef is not None:
-                theta = np.full(n, max(0.0, -float(coef[-2])))
-                theta[corners] = 0.0
-                stats["fallbacks"] = 1
-                return theta, theta, stats
-            continue
-        lo, hi, failed, contact_facets = _certified_theta(hull, cloud, d, corners)
-        if k == 0:
-            stats["q0_uncertified"] = failed
-        if failed == 0:
-            stats.update(hull_facets=len(hull.simplices), contact_facets=contact_facets,
-                         qhull_option=k, fallbacks=k)
-            return lo, hi, stats
-    raise GeometryError(f"Theta left {failed} of {n} samples uncertified with qhull options"
-                        f" {' and '.join(_QHULL_OPTIONS)}")
+    hull, found, stats = _lifted_hull(
+        cloud, d, lambda hull: _certified_theta(hull, cloud, d, corners))
+    if hull is None:
+        # a flat lift, v = b.x + c q + e: Theta = max(0, -c) off the corners
+        theta = np.full(n, max(0.0, -float(found[-2])))
+        theta[corners] = 0.0
+        return theta, theta, stats | no_hull
+    lo, hi, failed, contact_facets = found
+    if failed:
+        raise GeometryError(f"Theta left {failed} of {n} samples uncertified on the merged rebuild")
+    return lo, hi, stats | dict(hull_facets=len(hull.simplices),
+                                contact_facets=contact_facets, certified=n)
 
 
 def _certified_theta(hull, cloud: np.ndarray, d: int, corners: np.ndarray):
-    """(lo, hi, failed count, contact facet count) from the hull's normal cones."""
+    """((lo, hi, failed count, contact facet count), none failed) from the hull's normal cones."""
     n = len(cloud)
     points, values, q = cloud[:, :d], cloud[:, d], cloud[:, d + 1]
     normal = -hull.equations[:, :d + 2]          # inward
@@ -604,7 +591,7 @@ def _certified_theta(hull, cloud: np.ndarray, d: int, corners: np.ndarray):
     ok[touched] = (worst >= -_CERT_RTOL * scale) & (gap <= _CERT_RTOL * np.maximum(1.0, a))
     ok[corners] = True
     lo[corners] = hi[corners] = 0.0
-    return lo, hi, int((~ok).sum()), int(up.sum())
+    return (lo, hi, int((~ok).sum()), int(up.sum())), bool(ok.all())
 
 
 def tail_distribution(theta: ThetaField, restrict_radius: float,
@@ -660,7 +647,7 @@ def decay_experiment(v: GridFunction, delta: float, levels: int,
     """
     if not (delta > 0.0 and math.isfinite(delta)):
         raise DomainError(f"delta must be positive, got {delta}")
-    if not isinstance(levels, int) or levels < 2:
+    if not is_int(levels) or levels < 2:
         raise DomainError(f"levels must be an integer >= 2, got {levels}")
 
     openings = (1.0 + delta) ** np.arange(levels + 1)

@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its integer and number tests."""
+
+
+def is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)  # True must not pass for 1
+
+
+def is_number(x) -> bool:
+    return is_int(x) or isinstance(x, float)
 
 
 class DomainError(ValueError):

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, OptimizationError
+from .errors import DomainError, OptimizationError, is_int, is_number
 from .special_functions import lambert_w0, lambert_wm1
 
 # every constant of the global exponent's dilation chain is a power of the
@@ -55,11 +55,9 @@ class Ellipticity:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 2:
             raise DomainError(f"dimension n must be an integer >= 2, got {self.n}")
-        if not (isinstance(self.ratio, (int, float)) and math.isfinite(self.ratio)):
-            raise DomainError(f"ellipticity ratio must be finite, got {self.ratio}")
-        if self.ratio < 1.0:
-            raise DomainError(f"ellipticity ratio must be >= 1, got {self.ratio}")
-        if not isinstance(self.k, int) or not (1 <= self.k <= self.n - 1):
+        if not (is_number(self.ratio) and 1.0 <= self.ratio < math.inf):
+            raise DomainError(f"ellipticity ratio must be finite and >= 1, got {self.ratio}")
+        if not is_int(self.k) or not (1 <= self.k <= self.n - 1):
             raise DomainError(
                 f"k must be an integer in [1, n-1] = [1, {self.n - 1}], got {self.k}"
             )
@@ -107,13 +105,16 @@ def _golden(m: int) -> float:
 
 def pucci_c(e: Ellipticity) -> float:
     """Measure-decay constant c(n, rho, k) = (1 + (rho-1)k/(n-k))^(k-n)."""
-    base = 1.0 + (e.ratio - 1.0) * e.k / (e.n - e.k)
-    return base ** (e.k - e.n)
+    return _pucci_c(e.n, e.ratio, e.k)
+
+
+def _pucci_c(n: int, ratio: float, k: int) -> float:
+    return (1.0 + (ratio - 1.0) * k / (n - k)) ** (k - n)
 
 
 def c_star(e: Ellipticity) -> float:
     """Best (largest) decay constant over direction counts i = 1..k."""
-    return max(pucci_c(Ellipticity(e.n, e.ratio, i)) for i in range(1, e.k + 1))
+    return max(_pucci_c(e.n, e.ratio, i) for i in range(1, e.k + 1))
 
 
 def c_lower_bound(e: Ellipticity) -> float:
@@ -167,6 +168,8 @@ def phi_lower(gamma: float, c: float, n: int) -> float:
     """Pointwise minorant f(gamma) = c*gamma^n / (-ln(1-gamma)) <= phi(gamma)."""
     if not 0.0 < gamma < 1.0:
         raise DomainError(f"phi_lower requires gamma in (0,1), got {gamma}")
+    if not 0.0 < c <= 1.0:
+        raise DomainError(f"phi_lower requires c in (0,1], got {c}")
     return c * gamma ** n / (-math.log1p(-gamma))
 
 
@@ -297,8 +300,8 @@ def abstract_lower(n: int, ratio: float) -> float:
     """Headline lower bound (1 + (2/3)(1 - 1/rho))^(n-1) (1/rho)^(n-1) / (4 ln n)."""
     if not isinstance(n, int) or n < 3:
         raise DomainError(f"abstract_lower requires integer n >= 3, got {n}")
-    if ratio < 1.0:
-        raise DomainError(f"abstract_lower requires ratio >= 1, got {ratio}")
+    if not (ratio >= 1.0 and math.isfinite(ratio)):
+        raise DomainError(f"abstract_lower requires a finite ratio >= 1, got {ratio}")
     return ((1.0 + (2.0 / 3.0) * (1.0 - 1.0 / ratio)) / ratio) ** (n - 1) / (4.0 * math.log(n))
 
 
@@ -306,15 +309,15 @@ def epsilon_upper(n: int, ratio: float) -> float:
     """Upper bound n/((n-1)rho + 1) from the explicit radial family."""
     if not isinstance(n, int) or n < 2:
         raise DomainError(f"epsilon_upper requires integer n >= 2, got {n}")
-    if ratio < 1.0:
-        raise DomainError(f"epsilon_upper requires ratio >= 1, got {ratio}")
+    if not (ratio >= 1.0 and math.isfinite(ratio)):
+        raise DomainError(f"epsilon_upper requires a finite ratio >= 1, got {ratio}")
     return n / ((n - 1) * ratio + 1.0)
 
 
 def ass_conjecture(ratio: float) -> float:
     """Dimension-free conjectured exponent 2/(rho + 1)."""
-    if ratio < 1.0:
-        raise DomainError(f"ass_conjecture requires ratio >= 1, got {ratio}")
+    if not (ratio >= 1.0 and math.isfinite(ratio)):
+        raise DomainError(f"ass_conjecture requires a finite ratio >= 1, got {ratio}")
     return 2.0 / (ratio + 1.0)
 
 
@@ -339,7 +342,7 @@ def global_rho_j(j: int, e: Ellipticity) -> float:
     latter in logarithms; failure would be an implementation error, not a
     bad parameter.
     """
-    if not isinstance(j, int) or j < 0:
+    if not is_int(j) or j < 0:
         raise DomainError(f"global_rho_j requires integer j >= 0, got {j}")
     n = e.n
     shrink = 1.0 - pucci_c(e) * _golden(-(n + 2))

@@ -140,8 +140,8 @@ def wm1_envelope_bounds(u: float) -> tuple[float, float]:
     with equality of the two ends only in the limits u -> 0+ and u -> inf.
     """
     u = float(u)
-    if not u >= 0.0:
-        raise DomainError(f"wm1_envelope_bounds requires u >= 0, got {u}")
+    if not (u >= 0.0 and math.isfinite(u)):
+        raise DomainError(f"wm1_envelope_bounds requires a finite u >= 0, got {u}")
     return (-BRACKET_RATIO_MAX * (u + 1.0), -(u + 1.0))
 
 
@@ -151,7 +151,7 @@ def ratio_a(u: float) -> float:
     Equals 1 at u = 0 and as u -> inf; peaks at u = e-2 with value e/(e-1).
     """
     u = float(u)
-    if not u >= 0.0:
-        raise DomainError(f"ratio_a requires u >= 0, got {u}")
+    if not (u >= 0.0 and math.isfinite(u)):
+        raise DomainError(f"ratio_a requires a finite u >= 0, got {u}")
     # log|z| = -(u+1) and ez+1 = -expm1(-u), so z itself is never formed
     return -_wm1(-(u + 1.0), -2.0 * math.expm1(-u)) / (u + 1.0)

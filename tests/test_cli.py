@@ -204,10 +204,12 @@ def test_theta_command(tmp_path, capsys):
     assert comments["grid_hash"] == g.content_hash()
     assert float(comments["restrict_radius"]) == 0.5
     assert float(comments["converged_fraction"]) == 1.0
-    # the paraboloid lifts to a flat cloud: no hull, every sample exact
-    assert comments["theta_qhull_option"] == "-1"
-    assert comments["theta_certified"] == comments["theta_hull_points"]
-    assert comments["theta_q0_uncertified"] == "0"
+    # the paraboloid lifts to a flat cloud: "Q0" raises, no hull is used and
+    # every sample is exact
+    assert (comments["theta_hull_calls"], comments["theta_q0_raised"],
+            comments["theta_q0_rejected"], comments["theta_hull_facets"]) == ("1", "1", "0", "0")
+    assert comments["theta_certified"] == comments["theta_hull_points"] \
+        == str(int(g.inside_mask().sum()))
     # the old bisection flag is still accepted, and changes nothing
     code, again, _ = run_cli(capsys, "theta", "--input", str(grid_path),
                              "--a-max", "16", "--bisect-tol", "0.1", "--reproducible")
@@ -265,11 +267,11 @@ def test_decay_normal_run(tmp_path, capsys):
     assert err == ""
     comments, rows = parse_csv(out)
     assert float(comments["theoretical_ratio"]) == 0.875
-    # 7 "Q0" hulls; at opening 16 the lift is flat, so "Q0" raises and the
-    # merged build raises too
+    # 7 "Q0" hulls; at opening 16 the lift is flat, so "Q0" raises and no
+    # rebuild follows
     decay = {k: int(v) for k, v in comments.items() if k.startswith("decay_")}
     assert decay.pop("decay_lower_facets") > 0
-    assert decay == dict(decay_hull_calls=8, decay_hull_points=8 * int(g.inside_mask().sum()),
+    assert decay == dict(decay_hull_calls=7, decay_hull_points=7 * int(g.inside_mask().sum()),
                          decay_q0_raised=1, decay_q0_rejected=0)
     counts = [float(r["count_measure"]) for r in rows]
     assert all(b <= a + 1e-12 for a, b in zip(counts, counts[1:]))

@@ -385,43 +385,98 @@ def _merged_mask(pts, lifted):
 
 
 def _hull_corpus():
-    # (grid, openings, the critical opening, the counter its rebuild raises):
-    # the paraboloid lifts flat at 4, so "Q0" raises; the others have a flat
-    # face in the lift there, whose inner samples fail the vertex check
+    # (grid, openings, the critical opening, (hull_calls, q0_raised, q0_rejected)
+    # there): the paraboloid lifts flat at 4, so "Q0" raises and no rebuild
+    # follows; the others have a flat face in the lift there, whose inner
+    # samples fail the vertex check, so the hull is rebuilt
     parab = h.grid_from_callable(lambda p: -2.0 * (p ** 2).sum(axis=1), 2, 33)
     plateau = h.grid_from_callable(lambda p: np.maximum(-8.0 * (p ** 2).sum(axis=1), -1.0),
                                    2, 65)
     lattice = h.build_v(h.RadialProfile(3, 3.0, 0.125, 1.0, 2.0),
                         h.grid_from_callable(lambda p: np.zeros(len(p)), 2, 65))
     bump3 = h.capped_bump(h.RadialProfile(3, 3.0, 0.35, 1.0, 2.0), 17, centre=(0.0, 0.0, 0.0))
-    return [(parab, (2.0, 4.0, 8.0), 4.0, "q0_raised"),
-            (plateau, (3.0, 16.0, 40.0), 16.0, "q0_rejected"),
-            (ridge_2d(), (0.5, 1.0, 2.0), 1.0, "q0_rejected"),
-            (lattice, (1.0, 2.0, 5.0), 2.0, "q0_rejected"),
-            (bump3, (0.0, 4.0), 0.0, "q0_rejected")]
+    return [(parab, (2.0, 4.0, 8.0), 4.0, (1, 1, 0)),
+            (plateau, (3.0, 16.0, 40.0), 16.0, (2, 0, 1)),
+            (ridge_2d(), (0.5, 1.0, 2.0), 1.0, (2, 0, 1)),
+            (lattice, (1.0, 2.0, 5.0), 2.0, (2, 0, 1)),
+            (bump3, (0.0, 4.0), 0.0, (2, 0, 1))]
 
 
 def test_contact_mask_equals_merged_hull():
     # the "Q0" hull is kept only where its marked vertices are extreme points,
     # so the mask is the merged hull's, at generic and at critical openings
     corpus = _hull_corpus()
-    for g, openings, critical, reason in corpus:
+    for g, openings, critical, counts in corpus:
         pts, _, inside = g._coords()
         pts, vals = pts[inside], g.values.ravel()[inside]
         for a in openings:
             _, mask, stats = lab._contact(pts, vals, a, need_values=False)
             lifted = vals + 0.5 * a * (pts ** 2).sum(axis=1)
             assert np.array_equal(mask, _merged_mask(pts, lifted)), (g.shape, a)
-            rebuilt = int(a == critical)
-            assert stats[reason] == stats["q0_raised"] + stats["q0_rejected"] == rebuilt, \
-                (g.shape, a, stats)
-            assert stats["hull_calls"] == 1 + rebuilt
+            assert (stats["hull_calls"], stats["q0_raised"], stats["q0_rejected"]) == \
+                (counts if a == critical else (1, 0, 0)), (g.shape, a, stats)
             assert stats["hull_points"] == stats["hull_calls"] * len(pts)
     # the counters reach EnvelopeResult; a flat lift has no lower facets
     parab = corpus[0][0]
     assert h.a_convex_envelope(parab, 4.0).stats == dict(
-        hull_calls=2, hull_points=2 * int(parab.inside_mask().sum()), lower_facets=0,
+        hull_calls=1, hull_points=int(parab.inside_mask().sum()), lower_facets=0,
         q0_raised=1, q0_rejected=0)
+
+
+@pytest.mark.parametrize("engine", ["contact", "theta"])
+def test_lifted_hull_policy(engine, monkeypatch):
+    # both engines' lifts go through one policy: "Q0", kept when check accepts
+    # it; else, or when "Q0" raises on a lift that is not flat, one "Qx"
+    # rebuild returned with check's result; a flat lift is None and its fit
+    def lift(values):
+        g = h.grid_from_callable(values, 2, 17, domain_radius=1.0)
+        pts, _, inside = g._coords()
+        pts, v = pts[inside], g.values.ravel()[inside]
+        q = 0.5 * (pts ** 2).sum(axis=1)
+        return np.column_stack([pts, v + 2.0 * q] if engine == "contact" else [pts, v, q])
+
+    ridge = lift(lambda p: np.abs(p[:, 0]) - 0.5 * (p ** 2).sum(axis=1) + 0.2 * np.cos(6 * p[:, 1]))
+    n, d = len(ridge), 2
+    raising, built = set(), []
+
+    def hull(cloud, qhull_options=None):
+        built.append((qhull_options, None))
+        if qhull_options in raising:
+            raise QhullError(f"forced failure with {qhull_options}")
+        built[-1] = (qhull_options, ConvexHull(cloud, qhull_options=qhull_options))
+        return built[-1][1]
+    monkeypatch.setattr(lab, "ConvexHull", hull)
+
+    def counters(stats):
+        return tuple(stats[k] for k in ("hull_calls", "hull_points", "q0_raised", "q0_rejected"))
+
+    # "Q0" raises on a lift that is not flat: "Qx" is built, checked and used
+    raising.add("Q0")
+    got, result, stats = lab._lifted_hull(ridge, d, lambda hull: (hull, True))
+    assert [o for o, _ in built] == ["Q0", "Qx"] and got is result is built[-1][1]
+    assert counters(stats) == (2, 2 * n, 1, 0)
+
+    # check refuses "Q0": "Qx" is used, with check's result on it whatever it says
+    raising.clear()
+    built.clear()
+    got, result, stats = lab._lifted_hull(ridge, d, lambda hull: (hull, False))
+    assert [o for o, _ in built] == ["Q0", "Qx"] and got is result is built[-1][1]
+    assert counters(stats) == (2, 2 * n, 0, 1)
+
+    # a flat lift costs one build and comes back as None with its affine fit:
+    # v + 2q = 0.3 x1 - 0.2 x2 + 1 (contact), v = 0.3 x1 - 0.2 x2 - 3q + 1 (Theta)
+    built.clear()
+    flat = lift(lambda p: -1.5 * (p ** 2).sum(axis=1) + 0.3 * p[:, 0] - 0.2 * p[:, 1] + 1.0
+                + (0.5 * (p ** 2).sum(axis=1) if engine == "contact" else 0.0))
+    got, coef, stats = lab._lifted_hull(flat, d, lambda hull: pytest.fail("checked a flat lift"))
+    want = [0.3, -0.2, 1.0] if engine == "contact" else [0.3, -0.2, -3.0, 1.0]
+    assert got is None and np.allclose(coef, want, rtol=0.0, atol=1e-12)
+    assert [o for o, _ in built] == ["Q0"] and counters(stats) == (1, n, 1, 0)
+
+    # a raising "Qx" build on a lift that is not flat is the one GeometryError
+    raising.update({"Q0", "Qx"})
+    with pytest.raises(h.GeometryError, match="not flat"):
+        lab._lifted_hull(ridge, d, lambda hull: (hull, True))
 
 
 def test_q0_hull_with_a_non_extreme_vertex_is_rebuilt(monkeypatch):
@@ -584,7 +639,8 @@ def test_theta_matches_lp_oracle_in_3d():
     g = h.capped_bump(h.RadialProfile(3, 3.0, 0.35, 1.0, 2.0), 17, centre=(0.0, 0.0, 0.0))
     tf = h.theta_field(g, a_max=600.0)
     assert tf.stats["certified"] == int(g.inside_mask().sum())
-    _assert_matches_lp(tf, np.sort(RNG.choice(tf.stats["hull_points"], size=40, replace=False)))
+    n_in = int(g.inside_mask().sum())
+    _assert_matches_lp(tf, np.sort(RNG.choice(n_in, size=40, replace=False)))
 
 
 def test_theta_without_lifted_hull():
@@ -592,7 +648,8 @@ def test_theta_without_lifted_hull():
     # their lift spans too little for a hull in R^4
     g = h.grid_from_callable(lambda p: p[:, 0] * p[:, 1], 2, 4)
     tf = h.theta_field(g, a_max=8.0)
-    assert (tf.theta[g.inside_mask()] == 0.0).all() and tf.stats["qhull_option"] == -1
+    assert (tf.theta[g.inside_mask()] == 0.0).all()
+    assert tf.stats["hull_calls"] == tf.stats["hull_facets"] == 0
 
     # v = paraboloid of opening 3 plus an affine part: the lift is flat, so no
     # hull; Theta = 3 off the x-hull vertices and 0 on them
@@ -607,7 +664,8 @@ def test_theta_without_lifted_hull():
         assert np.abs(theta[~corners] - 3.0).max() <= 1e-9
         assert (theta[corners] == 0.0).all()
         assert tf.converged[inside].all()
-        assert tf.stats["qhull_option"] == -1
+        # one "Q0" build, which raised on the flat lift, and no hull used
+        assert (tf.stats["hull_calls"], tf.stats["q0_raised"], tf.stats["hull_facets"]) == (1, 1, 0)
 
 
 def _failing_hull(fail):
@@ -622,12 +680,13 @@ def _failing_hull(fail):
 
 def test_theta_merged_fallback_matches(bump33, monkeypatch):
     plain = h.theta_field(bump33, a_max=600.0)
-    assert plain.stats["qhull_option"] == 0 and plain.stats["fallbacks"] == 0
-    assert plain.stats["q0_uncertified"] == 0
+    assert (plain.stats["hull_calls"], plain.stats["q0_raised"], plain.stats["q0_rejected"]) \
+        == (1, 0, 0) and plain.stats["hull_facets"] > 0
     monkeypatch.setattr(lab, "ConvexHull", _failing_hull(lambda opt: opt == "Q0"))
     merged = h.theta_field(bump33, a_max=600.0)
-    assert merged.stats["qhull_option"] == 1 and merged.stats["fallbacks"] == 1
-    assert merged.stats["q0_uncertified"] == 0   # "Q0" raised: no certificate failed
+    # "Q0" raised, so no certificate failed, and the "Qx" hull was used
+    assert (merged.stats["hull_calls"], merged.stats["q0_raised"], merged.stats["q0_rejected"]) \
+        == (2, 1, 0) and merged.stats["hull_facets"] > 0
     inside = bump33.inside_mask()
     for name in ("theta", "bracket_lo", "bracket_hi"):
         x, y = getattr(plain, name)[inside], getattr(merged, name)[inside]
@@ -657,7 +716,7 @@ def test_theta_missing_facets_are_caught(bump33, monkeypatch):
     # facet still supports the data, but its ratio is too high, which the dual
     # certificate rejects; the merged rebuild gives the right field
     plain = h.theta_field(bump33, a_max=600.0)
-    target = plain.stats["hull_points"] // 2 + 3   # x = (0, 3h), Theta about 5.0
+    target = int(bump33.inside_mask().sum()) // 2 + 3   # x = (0, 3h), Theta about 5.0
 
     def hull(cloud, qhull_options=None):
         full = ConvexHull(cloud, qhull_options=qhull_options)
@@ -670,15 +729,16 @@ def test_theta_missing_facets_are_caught(bump33, monkeypatch):
         return SimpleNamespace(simplices=full.simplices[keep], equations=full.equations[keep])
     monkeypatch.setattr(lab, "ConvexHull", hull)
     checked = h.theta_field(bump33, a_max=600.0)
-    assert checked.stats["fallbacks"] == 1
-    assert checked.stats["q0_uncertified"] >= 1  # a certificate failed on "Q0"
+    # a certificate failed on "Q0", which built
+    assert (checked.stats["hull_calls"], checked.stats["q0_raised"],
+            checked.stats["q0_rejected"]) == (2, 0, 1)
     inside = bump33.inside_mask()
     assert np.allclose(checked.theta[inside], plain.theta[inside], rtol=1e-12, atol=1e-12)
 
 
 def test_theta_all_hulls_failing_is_geometry_error(bump33, monkeypatch):
     monkeypatch.setattr(lab, "ConvexHull", _failing_hull(lambda opt: True))
-    with pytest.raises(h.GeometryError, match="uncertified"):
+    with pytest.raises(h.GeometryError, match="not flat"):
         h.theta_field(bump33, a_max=600.0)
 
 
