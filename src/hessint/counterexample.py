@@ -20,7 +20,8 @@ import numpy as np
 from scipy.special import gamma as _gamma_fn
 
 from .envelope_lab import GridFunction, grid_from_callable
-from .errors import AdmissibilityError, ConditionError, DomainError, GeometryError, is_int
+from .errors import (AdmissibilityError, ConditionError, DomainError, GeometryError, is_number,
+                     require_finite, require_int, require_positive)
 
 _TRUNCATION_CAP = 1.0
 
@@ -42,16 +43,12 @@ class RadialProfile:
     admissible: bool = field(init=False)
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 3:
-            raise DomainError(f"profile dimension n must be an integer >= 3, got {self.n}")
-        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
-            raise DomainError(f"alpha must be positive, got {self.alpha}")
-        if not 0.0 < self.R < 1.0:
-            raise DomainError(f"R must lie in (0,1), got {self.R}")
-        if not 0.0 < self.lam <= self.Lam < math.inf:
-            raise DomainError(
-                f"need 0 < lambda <= Lambda < inf, got lambda={self.lam}, Lambda={self.Lam}"
-            )
+        require_int("n", self.n, 3)
+        require_positive("alpha", self.alpha)
+        if not (is_number(self.R) and 0.0 < self.R < 1.0):
+            raise DomainError(f"R must lie in (0, 1), got {self.R!r}")
+        require_positive("lam", self.lam)
+        require_finite("Lam", self.Lam, self.lam)
         object.__setattr__(
             self, "admissible",
             self.alpha <= (self.n - 1) * self.Lam / self.lam - 1.0 + 1e-12,
@@ -70,9 +67,9 @@ class RadialProfile:
 
 def u_value(p: RadialProfile, r: float) -> float:
     """Profile value at radius r > 0; identically 0 for r >= R (C^1 glue)."""
+    if not (is_number(r) and r > 0.0):
+        raise DomainError(f"u_value requires r > 0, got {r!r}")
     r = float(r)
-    if not r > 0.0:
-        raise DomainError(f"u_value requires r > 0, got {r}")
     if r >= p.R:
         return 0.0
     a = p.alpha
@@ -95,9 +92,9 @@ def hessian_eigenvalues(p: RadialProfile, r: float) -> tuple[float, float]:
     has multiplicity n-1 and is negative; the radial one
     alpha(alpha+1) R^(alpha+2) r^-(alpha+2) + alpha is positive.
     """
+    if not (is_number(r) and 0.0 < r < p.R):
+        raise DomainError(f"hessian_eigenvalues requires 0 < r < R={p.R}, got {r!r}")
     r = float(r)
-    if not 0.0 < r < p.R:
-        raise DomainError(f"hessian_eigenvalues requires 0 < r < R={p.R}, got {r}")
     a = p.alpha
     tangential = -a * r ** (-a - 2.0) * (p.R ** (a + 2.0) - r ** (a + 2.0))
     radial = a * (a + 1.0) * p.R ** (a + 2.0) * r ** (-a - 2.0) + a
@@ -124,9 +121,9 @@ def theta_lower(p: RadialProfile, r: float) -> float:
     (1 - 2^-(alpha+2)) alpha R^(alpha+2) r^-(alpha+2); it minorizes the
     negated tangential eigenvalue on that range.
     """
+    if not (is_number(r) and 0.0 < r <= p.R / 2.0):
+        raise DomainError(f"theta_lower requires 0 < r <= R/2 = {p.R / 2.0}, got {r!r}")
     r = float(r)
-    if not 0.0 < r <= p.R / 2.0:
-        raise DomainError(f"theta_lower requires 0 < r <= R/2 = {p.R / 2.0}, got {r}")
     a = p.alpha
     return (1.0 - 2.0 ** (-(a + 2.0))) * a * p.R ** (a + 2.0) * r ** (-a - 2.0)
 
@@ -137,8 +134,8 @@ def lattice_admissible_radius(dim: int, m: int) -> float:
     Solves 1/(8 sqrt(dim) R) = m + 1/(2 sqrt(dim)), i.e.
     R = 1/(8 sqrt(dim) m + 4).
     """
-    if not (is_int(dim) and dim >= 1 and is_int(m) and m >= 1):
-        raise DomainError(f"lattice dimension and index m must be integers >= 1, got {dim}, {m}")
+    require_int("dim", dim, 1)
+    require_int("m", m, 1)
     return 1.0 / (8.0 * math.sqrt(dim) * m + 4.0)
 
 
@@ -172,10 +169,9 @@ def lattice_ball_count(dim: int, R: float) -> int:
     Every floor is floor(sqrt(x) + 1e-12), x < 0 read as 0, as in a count
     slice by slice, and the count equals that one exactly.
     """
-    if not is_int(dim) or dim < 1:
-        raise DomainError(f"lattice dimension must be an integer >= 1, got {dim}")
-    if not 0.0 < R < 0.25:
-        raise GeometryError(f"lattice requires 0 < R < 1/4, got {R}")
+    require_int("dim", dim, 1)
+    if not (is_number(R) and 0.0 < R < 0.25):
+        raise GeometryError(f"lattice requires 0 < R < 1/4, got {R!r}")
     reach = (0.5 - R) / (2.0 * R)
     return _ball_count(dim, reach * reach)
 
@@ -277,8 +273,7 @@ def lp_lower_bound(p: RadialProfile, epsilon: float) -> float:
     admissible window (n-1) rho - 1 >= alpha > n/eps - 2 being nonempty.
     """
     n, a = p.n, p.alpha
-    if not math.isfinite(epsilon):
-        raise DomainError(f"epsilon must be finite, got {epsilon}")
+    require_positive("epsilon", epsilon)
     if not _check_divergence_condition(n, p.ratio, epsilon):
         raise ConditionError(
             f"((n-1)rho+1)eps = {((n - 1) * p.ratio + 1) * epsilon:.6g} must exceed n = {n}"
@@ -344,12 +339,9 @@ def divergence_scan(n: int, ratio: float, epsilon: float, m_range) -> Divergence
     ((n-1)rho+1)eps > n fails the scan is empty with an explanatory note.
     The fit is least squares of ln(bound) against ln(1/R) = m ln 2.
     """
-    if not isinstance(n, int) or n < 3:
-        raise DomainError(f"divergence_scan requires integer n >= 3, got {n}")
-    if not ratio >= 1.0:
-        raise DomainError(f"divergence_scan requires ratio >= 1, got {ratio}")
-    if not (0.0 < epsilon and math.isfinite(epsilon)):
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
+    require_int("n", n, 3)
+    require_finite("ratio", ratio, 1.0)
+    require_positive("epsilon", epsilon)
     ms = list(m_range)
     if (not ms or any(m != int(m) for m in ms) or any(m < 3 for m in ms)
             or any(b <= a for a, b in zip(ms, ms[1:]))):

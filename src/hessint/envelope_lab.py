@@ -37,7 +37,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (DegenerateData, DomainError, GeometryError, GridFormatError, is_int,
-                     is_number)
+                     is_number, require_finite, require_int, require_positive)
 from .exponent_bounds import Ellipticity, c_star
 
 _VERTICAL_TOL = 1e-12
@@ -69,18 +69,20 @@ class GridFunction:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.dim not in (1, 2, 3):
-            raise GridFormatError(f"dim must be 1, 2 or 3, got {self.dim}")
+        if not (is_int(self.dim) and 1 <= self.dim <= 3):
+            raise GridFormatError(f"dim must be 1, 2 or 3, got {self.dim!r}")
         self.shape = tuple(int(s) for s in self.shape)
         if len(self.shape) != self.dim or min(self.shape) < 3:
             raise GridFormatError(f"shape {self.shape} invalid for dim {self.dim}")
-        if not (self.spacing > 0.0 and math.isfinite(self.spacing)):
-            raise GridFormatError(f"spacing must be positive, got {self.spacing}")
-        self.center = tuple(float(c) for c in self.center)
-        if len(self.center) != self.dim:
+        for name in ("spacing", "domain_radius"):
+            x = getattr(self, name)
+            if not (is_number(x) and 0.0 < x < math.inf):
+                raise GridFormatError(f"{name} must be a finite positive number, got {x!r}")
+            setattr(self, name, float(x))
+        if not (len(self.center) == self.dim
+                and all(is_number(c) and math.isfinite(c) for c in self.center)):
             raise GridFormatError(f"center {self.center} invalid for dim {self.dim}")
-        if not (self.domain_radius > 0.0 and math.isfinite(self.domain_radius)):
-            raise GridFormatError(f"domain_radius must be positive, got {self.domain_radius}")
+        self.center = tuple(float(c) for c in self.center)
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.shape != self.shape:
             raise GridFormatError(
@@ -158,13 +160,9 @@ class GridFunction:
         if missing:
             raise GridFormatError(f"grid header {path} missing keys: {sorted(missing)}")
         shape, center = header["shape"], header["center"]
-        if not (is_int(header["dim"]) and isinstance(shape, list) and shape
-                and all(is_int(s) and s > 0 for s in shape)):
-            raise GridFormatError(f"grid header {path}: dim and shape must be positive integers")
-        if not (isinstance(center, list) and all(map(is_number, center))
-                and is_number(header["spacing"]) and is_number(header["domain_radius"])):
-            raise GridFormatError(
-                f"grid header {path}: spacing, center and domain_radius must be numbers")
+        if not (isinstance(shape, list) and shape and all(is_int(s) and s > 0 for s in shape)
+                and isinstance(center, list)):
+            raise GridFormatError(f"grid header {path}: shape and center must be lists of numbers")
         count = math.prod(shape)
         payload = header["payload"]
         if payload == "inline":
@@ -191,26 +189,23 @@ class GridFunction:
                 )
         else:
             raise GridFormatError(f"grid header {path} has an unusable payload field")
-        return cls(
-            dim=header["dim"],
-            shape=tuple(shape),
-            spacing=float(header["spacing"]),
-            center=tuple(float(c) for c in center),
-            domain_radius=float(header["domain_radius"]),
-            values=vals.reshape(shape),
-        )
+        return cls(dim=header["dim"], shape=tuple(shape), spacing=header["spacing"],
+                   center=tuple(center), domain_radius=header["domain_radius"],
+                   values=vals.reshape(shape))
 
 
 def grid_from_callable(f, dim: int, points_per_axis: int, domain_radius: float = 1.0,
-                       center: tuple | None = None, extent: float | None = None) -> GridFunction:
-    """Sample f(points)->values on a fresh grid; NaN outside the ball."""
-    if center is None:
-        center = (0.0,) * dim
+                       extent: float | None = None) -> GridFunction:
+    """Sample f(points)->values on [-extent, extent]^dim; NaN outside the ball about 0."""
+    require_int("dim", dim, 1)
+    require_int("points_per_axis", points_per_axis, 3)
+    require_positive("domain_radius", domain_radius)
     if extent is None:
         extent = domain_radius
+    require_positive("extent", extent)
     spacing = 2.0 * extent / (points_per_axis - 1)
     shape = (points_per_axis,) * dim
-    g = GridFunction(dim=dim, shape=shape, spacing=spacing, center=tuple(center),
+    g = GridFunction(dim=dim, shape=shape, spacing=spacing, center=(0.0,) * dim,
                      domain_radius=domain_radius, values=np.zeros(shape))
     pts, _, inside = g._coords()
     vals = np.asarray(f(pts), dtype=np.float64).reshape(shape)
@@ -428,8 +423,7 @@ def a_convex_envelope(v: GridFunction, a: float) -> EnvelopeResult:
     Uses the shift identity: the a-convex envelope equals the convex envelope
     of v + (a/2)|x|^2 minus (a/2)|x|^2. Contact is the module's hull-vertex test.
     """
-    if not (a >= 0.0 and math.isfinite(a)):
-        raise DomainError(f"opening must be finite and >= 0, got {a}")
+    require_finite("a", a, 0.0)
     pts, _, inside = v._coords()
     env_in, on_hull, stats = _contact(pts[inside], v.values.ravel()[inside], a,
                                       need_values=True)
@@ -473,8 +467,7 @@ def theta_field(v: GridFunction, a_max: float, bisect_tol: float | None = None) 
     removed with the benchmark revision that stops passing it (ROADMAP
     direction 1): perfbench/selftest.py passes it positionally.
     """
-    if not (a_max > 0.0 and math.isfinite(a_max)):
-        raise DomainError(f"a_max must be positive, got {a_max}")
+    require_positive("a_max", a_max)
 
     pts, d2, inside = v._coords()
     lo, hi, stats = _exact_theta(pts[inside], v.values.ravel()[inside])
@@ -604,8 +597,7 @@ def tail_distribution(theta: ThetaField, restrict_radius: float,
     restrict_radius is finite and positive and t_grid is finite, positive and
     strictly increasing.
     """
-    if not (restrict_radius > 0.0 and math.isfinite(restrict_radius)):
-        raise DomainError(f"restrict_radius must be finite and positive, got {restrict_radius}")
+    require_positive("restrict_radius", restrict_radius)
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if (t_grid.ndim != 1 or len(t_grid) < 2 or not np.all(np.isfinite(t_grid))
             or np.any(np.diff(t_grid) <= 0) or np.any(t_grid <= 0)):
@@ -645,10 +637,8 @@ def decay_experiment(v: GridFunction, delta: float, levels: int,
     Raises DegenerateData (carrying the partial report) when fewer than 3
     counts are nonzero.
     """
-    if not (delta > 0.0 and math.isfinite(delta)):
-        raise DomainError(f"delta must be positive, got {delta}")
-    if not is_int(levels) or levels < 2:
-        raise DomainError(f"levels must be an integer >= 2, got {levels}")
+    require_positive("delta", delta)
+    require_int("levels", levels, 2)
 
     openings = (1.0 + delta) ** np.arange(levels + 1)
     pts, _, inside = v._coords()

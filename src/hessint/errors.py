@@ -1,4 +1,16 @@
-"""Exception types shared across the package, and its integer and number tests."""
+"""Exception types shared across the package, and its argument rules.
+
+Every public entry point checks its integer, finite and positive arguments
+with three rules, each raising a DomainError that names the parameter:
+require_int (an integer >= lo), require_finite (a finite number >= lo, or any
+finite number) and require_positive (a finite number > 0). A number is any
+numbers.Real but a bool, numpy scalars included; an integer is a Python int
+but a bool. Other domains, such as an open interval, are checked where they
+are used, after is_number or is_int.
+"""
+
+import math
+import numbers
 
 
 def is_int(x) -> bool:
@@ -6,7 +18,24 @@ def is_int(x) -> bool:
 
 
 def is_number(x) -> bool:
-    return is_int(x) or isinstance(x, float)
+    # float first: the common case skips the slower abstract-class check
+    return isinstance(x, float) or (isinstance(x, numbers.Real) and not isinstance(x, bool))
+
+
+def require_int(name: str, x, lo: int) -> None:
+    if not (is_int(x) and x >= lo):
+        raise DomainError(f"{name} must be an integer >= {lo}, got {x!r}")
+
+
+def require_finite(name: str, x, lo: float = -math.inf) -> None:
+    if not (is_number(x) and math.isfinite(x) and x >= lo):
+        bound = "" if lo == -math.inf else f" >= {lo:g}"
+        raise DomainError(f"{name} must be a finite number{bound}, got {x!r}")
+
+
+def require_positive(name: str, x) -> None:
+    if not (is_number(x) and 0.0 < x < math.inf):
+        raise DomainError(f"{name} must be a finite positive number, got {x!r}")
 
 
 class DomainError(ValueError):

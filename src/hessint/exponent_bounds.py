@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, OptimizationError, is_int, is_number
+from .errors import DomainError, OptimizationError, is_int, is_number, require_finite, require_int
 from .special_functions import lambert_w0, lambert_wm1
 
 # every constant of the global exponent's dilation chain is a power of the
@@ -53,14 +53,10 @@ class Ellipticity:
     k: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2:
-            raise DomainError(f"dimension n must be an integer >= 2, got {self.n}")
-        if not (is_number(self.ratio) and 1.0 <= self.ratio < math.inf):
-            raise DomainError(f"ellipticity ratio must be finite and >= 1, got {self.ratio}")
-        if not is_int(self.k) or not (1 <= self.k <= self.n - 1):
-            raise DomainError(
-                f"k must be an integer in [1, n-1] = [1, {self.n - 1}], got {self.k}"
-            )
+        require_int("n", self.n, 2)
+        require_finite("ratio", self.ratio, 1.0)
+        if not (is_int(self.k) and 1 <= self.k <= self.n - 1):
+            raise DomainError(f"k must be an integer in [1, n-1] = [1, {self.n - 1}], got {self.k}")
 
 
 @dataclass(frozen=True)
@@ -153,23 +149,27 @@ def _c_lower_base(e: Ellipticity) -> float:
     return 1.0 + ((e.n - 2 * e.k) / (e.n - e.k)) * (1.0 - 1.0 / e.ratio)
 
 
+def _check_phi_args(gamma, c, n) -> None:
+    if not (is_number(gamma) and 0.0 < gamma < 1.0):
+        raise DomainError(f"gamma must lie in (0, 1), got {gamma!r}")
+    if not (is_number(c) and 0.0 < c <= 1.0):
+        raise DomainError(f"c must lie in (0, 1], got {c!r}")
+    require_int("n", n, 2)
+
+
 def phi(gamma: float, c: float, n: int) -> float:
     """Decay-rate exponent phi(gamma) = ln(1 - c*gamma^n) / ln(1 - gamma)."""
-    if not 0.0 < gamma < 1.0:
-        raise DomainError(f"phi requires gamma in (0,1), got {gamma}")
-    if not 0.0 < c <= 1.0:
-        raise DomainError(f"phi requires c in (0,1], got {c}")
-    if not isinstance(n, int) or n < 2:
-        raise DomainError(f"phi requires integer n >= 2, got {n}")
+    _check_phi_args(gamma, c, n)
+    return _phi(gamma, c, n)
+
+
+def _phi(gamma: float, c: float, n: int) -> float:
     return math.log1p(-c * gamma ** n) / math.log1p(-gamma)
 
 
 def phi_lower(gamma: float, c: float, n: int) -> float:
     """Pointwise minorant f(gamma) = c*gamma^n / (-ln(1-gamma)) <= phi(gamma)."""
-    if not 0.0 < gamma < 1.0:
-        raise DomainError(f"phi_lower requires gamma in (0,1), got {gamma}")
-    if not 0.0 < c <= 1.0:
-        raise DomainError(f"phi_lower requires c in (0,1], got {c}")
+    _check_phi_args(gamma, c, n)
     return c * gamma ** n / (-math.log1p(-gamma))
 
 
@@ -177,7 +177,7 @@ def _stationarity_gap(gamma: float, c: float, n: int) -> float:
     # n*c*g^(n-1)(1-g)/(1-c*g^n) - phi(g); vanishes exactly at critical points,
     # positive left of the interior max, negative right of it
     expr = n * c * gamma ** (n - 1) * (1.0 - gamma) / (1.0 - c * gamma ** n)
-    return expr - phi(gamma, c, n)
+    return expr - _phi(gamma, c, n)
 
 
 def epsilon_interior(e: Ellipticity) -> tuple[float, float, float]:
@@ -245,8 +245,7 @@ def gamma_star(n: int) -> float:
 
     Solves gamma/(1-gamma) = -n ln(1-gamma); lies in (0,1) for n >= 2.
     """
-    if not isinstance(n, int) or n < 2:
-        raise DomainError(f"gamma_star requires integer n >= 2, got {n}")
+    require_int("n", n, 2)
     w = lambert_wm1(-(1.0 / n) * math.exp(-1.0 / n)).value
     return 1.0 + 1.0 / (n * w)
 
@@ -260,8 +259,7 @@ def _tau_kernel(n: float) -> float:
 
 def tau(n: int) -> float:
     """Dimensional constant tau_n; increasing in n with limit 1 - 1/e."""
-    if not isinstance(n, int) or n < 3:
-        raise DomainError(f"tau requires integer n >= 3, got {n}")
+    require_int("n", n, 3)
     return _tau_kernel(float(n))
 
 
@@ -298,26 +296,21 @@ def _refined_lower_normalized(e: Ellipticity) -> float:
 
 def abstract_lower(n: int, ratio: float) -> float:
     """Headline lower bound (1 + (2/3)(1 - 1/rho))^(n-1) (1/rho)^(n-1) / (4 ln n)."""
-    if not isinstance(n, int) or n < 3:
-        raise DomainError(f"abstract_lower requires integer n >= 3, got {n}")
-    if not (ratio >= 1.0 and math.isfinite(ratio)):
-        raise DomainError(f"abstract_lower requires a finite ratio >= 1, got {ratio}")
+    require_int("n", n, 3)
+    require_finite("ratio", ratio, 1.0)
     return ((1.0 + (2.0 / 3.0) * (1.0 - 1.0 / ratio)) / ratio) ** (n - 1) / (4.0 * math.log(n))
 
 
 def epsilon_upper(n: int, ratio: float) -> float:
     """Upper bound n/((n-1)rho + 1) from the explicit radial family."""
-    if not isinstance(n, int) or n < 2:
-        raise DomainError(f"epsilon_upper requires integer n >= 2, got {n}")
-    if not (ratio >= 1.0 and math.isfinite(ratio)):
-        raise DomainError(f"epsilon_upper requires a finite ratio >= 1, got {ratio}")
+    require_int("n", n, 2)
+    require_finite("ratio", ratio, 1.0)
     return n / ((n - 1) * ratio + 1.0)
 
 
 def ass_conjecture(ratio: float) -> float:
     """Dimension-free conjectured exponent 2/(rho + 1)."""
-    if not (ratio >= 1.0 and math.isfinite(ratio)):
-        raise DomainError(f"ass_conjecture requires a finite ratio >= 1, got {ratio}")
+    require_finite("ratio", ratio, 1.0)
     return 2.0 / (ratio + 1.0)
 
 
@@ -342,8 +335,7 @@ def global_rho_j(j: int, e: Ellipticity) -> float:
     latter in logarithms; failure would be an implementation error, not a
     bad parameter.
     """
-    if not is_int(j) or j < 0:
-        raise DomainError(f"global_rho_j requires integer j >= 0, got {j}")
+    require_int("j", j, 0)
     n = e.n
     shrink = 1.0 - pucci_c(e) * _golden(-(n + 2))
     rho_j = shrink ** (j + 1) / (n * _golden(5))
@@ -366,7 +358,7 @@ def thresholds(alpha: float, e: Ellipticity) -> ThresholdData:
     to it that a threshold leaves the float range.
     """
     gamma0, eps, _ = epsilon_interior(e)
-    if not 0.0 < alpha < eps:
+    if not (is_number(alpha) and 0.0 < alpha < eps):
         raise DomainError(
             f"thresholds requires 0 < alpha < epsilon_interior = {eps:.6g}, got {alpha}"
         )
@@ -403,10 +395,9 @@ def t0_maximizer(n: int, ratio: float) -> T0Result:
     At rho = 2 exactly the quotient is 0/0 and its limit x0 = e is used. t0
     decreases from n (rho -> 1+) toward 0 as rho grows.
     """
-    if not isinstance(n, int) or n < 2:
-        raise DomainError(f"t0_maximizer requires integer n >= 2, got {n}")
-    if not ratio > 1.0:
-        raise DomainError(f"t0_maximizer requires ratio > 1, got {ratio}")
+    require_int("n", n, 2)
+    if not (is_number(ratio) and 1.0 < ratio < math.inf):
+        raise DomainError(f"t0_maximizer requires a finite ratio > 1, got {ratio!r}")
     if ratio == 2.0:
         x0 = math.e
     else:
@@ -421,9 +412,8 @@ def rho_for_beta(n: int, beta: float) -> float:
     rho = 2 - beta + (beta-1) * x0 with x0 = -beta/W0(-beta e^-beta), for
     beta in (1, n].
     """
-    if not isinstance(n, int) or n < 2:
-        raise DomainError(f"rho_for_beta requires integer n >= 2, got {n}")
-    if not 1.0 < beta <= n:
+    require_int("n", n, 2)
+    if not (is_number(beta) and 1.0 < beta <= n):
         raise DomainError(f"rho_for_beta requires beta in (1, n], got {beta}")
     w = lambert_w0(-beta * math.exp(-beta)).value
     x0 = -beta / w

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 
 _INV_E = math.exp(-1.0)
 _INV_E_LO = -1.2428753672788363e-17  # 1/e - _INV_E
@@ -86,9 +86,8 @@ def _fritsch(w: float, log_ratio: Callable[[float], float]) -> float:
 
 def lambert_w0(z: float) -> BranchValue:
     """Principal branch W0(z) for z >= -1/e. W0 >= -1, W0(0) = 0, W0(e) = 1."""
+    require_finite("z", z)
     z = float(z)
-    if not math.isfinite(z):
-        raise DomainError(f"lambert_w0 requires a finite argument, got {z}")
     if z < _BRANCH_POINT:
         if z < _BRANCH_POINT - 1e-15:
             raise DomainError(f"lambert_w0 undefined for z={z} < -1/e")
@@ -120,9 +119,8 @@ def _wm1(lz: float, p2: float) -> float:
 
 def lambert_wm1(z: float) -> BranchValue:
     """Lower branch W-1(z) for -1/e <= z < 0. W-1 <= -1, W-1(-1/e) = -1."""
+    require_finite("z", z)
     z = float(z)
-    if not math.isfinite(z):
-        raise DomainError(f"lambert_wm1 requires a finite argument, got {z}")
     if z >= 0.0:
         raise DomainError(f"lambert_wm1 undefined for z={z} >= 0")
     if z < _BRANCH_POINT:
@@ -139,9 +137,8 @@ def wm1_envelope_bounds(u: float) -> tuple[float, float]:
     Returns (lo, hi) = (-(e/(e-1))(u+1), -(u+1)); the true value lies between,
     with equality of the two ends only in the limits u -> 0+ and u -> inf.
     """
+    require_finite("u", u, 0.0)
     u = float(u)
-    if not (u >= 0.0 and math.isfinite(u)):
-        raise DomainError(f"wm1_envelope_bounds requires a finite u >= 0, got {u}")
     return (-BRACKET_RATIO_MAX * (u + 1.0), -(u + 1.0))
 
 
@@ -150,8 +147,7 @@ def ratio_a(u: float) -> float:
 
     Equals 1 at u = 0 and as u -> inf; peaks at u = e-2 with value e/(e-1).
     """
+    require_finite("u", u, 0.0)
     u = float(u)
-    if not (u >= 0.0 and math.isfinite(u)):
-        raise DomainError(f"ratio_a requires a finite u >= 0, got {u}")
     # log|z| = -(u+1) and ez+1 = -expm1(-u), so z itself is never formed
     return -_wm1(-(u + 1.0), -2.0 * math.expm1(-u)) / (u + 1.0)

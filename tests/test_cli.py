@@ -67,6 +67,9 @@ def test_sweep_explicit_list(capsys):
     _, rows = parse_csv(out)
     assert [int(r["n"]) for r in rows] == [3, 5]
     assert all(int(r["k"]) == 1 for r in rows)
+    code, _, err = run_cli(capsys, "sweep", "--n-range", "5:3", "--ratios", "2")
+    assert code == 2
+    assert "empty" in err
 
 
 def test_bounds_and_sweep_past_the_power_overflow(capsys):
@@ -293,6 +296,10 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     code, _, err = run_cli(capsys, "t0", "--n", "3", "--config", str(cfg))
     assert code == 2
     assert "wavelength" in err
+    cfg.write_text(json.dumps([{"ratio": 2.0}]))
+    code, _, err = run_cli(capsys, "t0", "--n", "3", "--config", str(cfg))
+    assert code == 2
+    assert "JSON object" in err
 
 
 @pytest.mark.parametrize("config, argv, ks", [

@@ -187,6 +187,9 @@ def test_build_v_geometry_error():
     grid = h.grid_from_callable(lambda pts: np.zeros(len(pts)), 2, 33, domain_radius=1.0)
     with pytest.raises(h.GeometryError):
         h.build_v(h.RadialProfile(3, 1.0, 0.3, 1.0, 2.0), grid)
+    small = h.grid_from_callable(lambda pts: np.zeros(len(pts)), 2, 33, domain_radius=0.9)
+    with pytest.raises(h.GeometryError, match="unit ball"):
+        h.build_v(h.RadialProfile(3, 1.0, 0.1, 1.0, 2.0), small)
 
 
 def test_capped_bump_matches_scalar_profile():
@@ -282,6 +285,9 @@ def test_lp_lower_bound_conditions():
     shallow = h.RadialProfile(3, 1.0, 0.125, 1.0, 2.0)
     with pytest.raises(h.ConditionError):
         h.lp_lower_bound(shallow, 0.7)  # alpha = 1 <= n/eps - 2
+    steep = h.RadialProfile(3, 10.0, 0.05, 1, 2)
+    with pytest.raises(h.AdmissibilityError):
+        h.lp_lower_bound(steep, 0.7)    # alpha = 10 > (n-1)ratio - 1 = 3
 
 
 def test_lp_lower_bound_geometry():

@@ -39,6 +39,12 @@ def test_gridfunction_validation():
     with pytest.raises(h.GridFormatError):
         h.GridFunction(dim=1, shape=(5,), spacing=0.1, center=(0.0,),
                        domain_radius=1.0, values=bad)
+    valid = dict(dim=1, shape=(5,), spacing=0.1, center=(0.0,), domain_radius=1.0,
+                 values=np.zeros(5))
+    for key, wrong in (("spacing", 0.0), ("center", (0.0, 0.0)), ("domain_radius", 0.0),
+                       ("values", np.zeros(4)), ("dim", 2.0)):
+        with pytest.raises(h.GridFormatError, match=key):
+            h.GridFunction(**{**valid, key: wrong})
 
 
 def test_grid_from_callable_masks_outside():
@@ -131,6 +137,14 @@ def test_load_errors(tmp_path):
     p4.write_text(json.dumps(broken))
     with pytest.raises(h.GridFormatError):
         h.GridFunction.load(p4)
+
+    np.zeros(4).tofile(tmp_path / "short.bin")
+    broken = dict(header)
+    broken["payload"] = "short.bin"
+    p8 = tmp_path / "sidecar.json"
+    p8.write_text(json.dumps(broken))
+    with pytest.raises(h.GridFormatError, match="has 4 values, expected 5"):
+        h.GridFunction.load(p8)
 
     # sidecars that exist with the right size, but are not a bare filename
     # next to the header

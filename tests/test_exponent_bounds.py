@@ -269,6 +269,9 @@ def test_thresholds_rank_selection():
         h.thresholds(eps, E321)
     with pytest.raises(h.DomainError):
         h.thresholds(0.0, E321)
+    # rho = 1: gamma0 = 1, so no interior threshold exists
+    td = h.thresholds(0.5, h.Ellipticity(3, 1.0))
+    assert (td.t_min_interior, td.interior_scale) == (math.inf, 0.0)
 
 
 def test_t0_maximizer_closed_form_at_ratio_2():

@@ -15,10 +15,13 @@ def test_w0_known_points():
     assert abs(h.lambert_w0(math.e).value - 1.0) <= 1e-14
     assert abs(h.lambert_w0(1.0).value - 0.5671432904097838) <= 1e-14
     assert h.lambert_w0(-1.0 / math.e).value == -1.0
+    # within 1e-15 below the branch point, rounding error is clamped to W = -1
+    assert h.lambert_w0(-1.0 / math.e - 5e-16).value == -1.0
 
 
 def test_wm1_known_points():
     assert h.lambert_wm1(-1.0 / math.e).value == -1.0
+    assert h.lambert_wm1(-1.0 / math.e - 5e-16).value == -1.0
     assert abs(h.lambert_wm1(-2.0 * math.exp(-2.0)).value + 2.0) <= 1e-12
     assert abs(h.lambert_wm1(-5.0 * math.exp(-5.0)).value + 5.0) <= 1e-12
 
