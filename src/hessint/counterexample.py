@@ -247,9 +247,17 @@ def capped_bump(p: RadialProfile, points_per_axis: int,
     """Grid of min(1, u(|x - centre|)) over the unit ball, in len(centre) dimensions.
 
     points_per_axis samples span [-1, 1] on each axis; samples outside the
-    ball are NaN, and a sample at the centre itself takes the cap 1.
+    ball are NaN, and a sample at the centre itself takes the cap 1. centre
+    must hold 1 to 3 finite numbers, none of them a bool (DomainError).
     """
-    centre = np.asarray(centre, dtype=np.float64)
+    try:
+        entries = list(centre)
+    except TypeError:
+        entries = []
+    if not (1 <= len(entries) <= 3 and all(is_number(c) and math.isfinite(c) for c in entries)):
+        raise DomainError(
+            f"centre must hold 1 to 3 finite numbers (a bool is not one), got {centre!r}")
+    centre = np.asarray(entries, dtype=np.float64)
 
     def vals(pts):
         r = np.sqrt(((pts - centre) ** 2).sum(axis=1))

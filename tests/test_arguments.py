@@ -118,3 +118,25 @@ def test_every_public_name_declares_its_rule():
     assert not set(ROWS) & NOT_ENTRY_POINTS
     for name, (kwargs, _, _) in ROWS.items():
         getattr(h, name)(**kwargs)  # the valid arguments are valid
+
+
+SEQUENCES = [
+    ("capped_bump", "centre", (math.nan, 0.0)),
+    ("capped_bump", "centre", (True, 0.0)),
+    ("capped_bump", "centre", (np.bool_(True), 0.0)),
+    ("capped_bump", "centre", (0.0, math.inf)),
+    ("capped_bump", "centre", (0.0,) * 4),
+    ("capped_bump", "centre", ()),
+    ("capped_bump", "centre", 0.5),
+    ("tail_distribution", "t_grid", [True, 2.0, 3.0]),
+    ("tail_distribution", "t_grid", np.array([True, False])),
+]
+
+
+@pytest.mark.parametrize("name, param, value", SEQUENCES)
+def test_sequence_with_a_hostile_entry_is_refused_by_name(name, param, value):
+    # the tuple and array parameters outside the table: a bool entry must not
+    # pass for 1.0, and a non-finite or misshapen centre is named
+    kwargs, _, _ = ROWS[name]
+    with pytest.raises(h.DomainError, match=rf"\b{param}\b"):
+        getattr(h, name)(**{**kwargs, param: value})

@@ -1,5 +1,6 @@
 import json
 import re
+import threading
 import warnings
 from types import SimpleNamespace
 
@@ -842,6 +843,102 @@ def test_decay_bump_family_beats_lemma_rate(bump_grid):
     rep = h.decay_experiment(bump_grid, 1.0, 8, h.Ellipticity(2, 2.0, 1))
     assert (np.diff(rep.counts) <= 1e-12).all()
     assert rep.empirical_ratio <= rep.theoretical_ratio
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(lab.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _decay_or_partial(g, levels):
+    try:
+        return h.decay_experiment(g, 1.0, levels, h.Ellipticity(3, 2.0, 1))
+    except h.DegenerateData as exc:
+        return exc.report
+
+
+def test_decay_two_at_a_time_equals_serial(monkeypatch):
+    # the odd openings go to one worker thread; the counts, every opening's
+    # mask and the summed counters equal a one-CPU run, at critical openings
+    # too (the README plateau's 16 refuses its "Q0" hull)
+    contact, masks = lab._contact, {}
+
+    def recorded(points, values, a, need_values):
+        out = contact(points, values, a, need_values)
+        masks[a] = out[1]
+        return out
+    monkeypatch.setattr(lab, "_contact", recorded)
+    serial_stats = []
+    for g, *_ in _hull_corpus():
+        runs = []
+        for count in (1, 2):
+            _cpus(monkeypatch, count)
+            masks.clear()
+            runs.append((_decay_or_partial(g, 7), dict(masks)))
+        (serial, serial_masks), (paired, paired_masks) = runs
+        assert np.array_equal(serial.counts, paired.counts), g.shape
+        assert serial.stats == paired.stats and list(serial.stats) == list(paired.stats)
+        assert len(serial_masks) == 8 and serial_masks.keys() == paired_masks.keys()
+        assert all(np.array_equal(serial_masks[a], paired_masks[a]) for a in serial_masks)
+        serial_stats.append(serial.stats)
+    plateau = serial_stats[1]
+    assert (plateau["hull_calls"], plateau["q0_rejected"]) == (9, 1)
+
+
+def test_decay_builds_on_two_threads_at_most(monkeypatch):
+    seen = set()
+
+    def hull(*args, **kwargs):
+        seen.add(threading.get_ident())
+        return ConvexHull(*args, **kwargs)
+    monkeypatch.setattr(lab, "ConvexHull", hull)
+    g = ridge_2d()
+    for count, threads in ((2, 2), (1, 1)):
+        _cpus(monkeypatch, count)
+        seen.clear()
+        _decay_or_partial(g, 5)
+        assert len(seen) == threads
+    # without an affinity call the CPU count decides
+    monkeypatch.delattr(lab.os, "sched_getaffinity")
+    monkeypatch.setattr(lab.os, "cpu_count", lambda: 1)
+    seen.clear()
+    _decay_or_partial(g, 5)
+    assert seen == {threading.get_ident()}
+
+
+def test_decay_worker_error_is_raised_as_it_is(monkeypatch):
+    contact, error, raised_in = lab._contact, h.GeometryError("forced in the worker"), []
+
+    def failing(points, values, a, need_values):
+        if threading.current_thread() is not threading.main_thread():
+            raised_in.append(a)
+            raise error
+        return contact(points, values, a, need_values)
+    monkeypatch.setattr(lab, "_contact", failing)
+    _cpus(monkeypatch, 2)
+    with pytest.raises(h.GeometryError) as info:
+        h.decay_experiment(ridge_2d(), 1.0, 5, h.Ellipticity(3, 2.0, 1))
+    assert info.value is error and raised_in[0] == 2.0
+
+
+def test_decay_partial_report_sums_the_counters(monkeypatch):
+    g = h.grid_from_callable(lambda p: (p ** 2).sum(axis=1), 2, 33, domain_radius=1.0)
+    pts, _, inside = g._coords()
+    want = {}
+    for a in 2.0 ** np.arange(6):
+        for k, c in lab._contact(pts[inside], g.values.ravel()[inside], a, False)[2].items():
+            want[k] = want.get(k, 0) + c
+    _cpus(monkeypatch, 2)
+    with pytest.raises(h.DegenerateData) as exc:
+        h.decay_experiment(g, 1.0, 5, h.Ellipticity(2, 2.0, 1))
+    assert exc.value.report.stats == want and want["hull_calls"] == 6
+
+
+def test_extreme_at_margin():
+    # G = diag(1, s) at vertex 0: the least eigenvalue s decides against 1e-12
+    for s, extreme in ((2e-12, True), (0.5e-12, False)):
+        hull = SimpleNamespace(equations=np.array([[1.0, 0.0, 0.0], [0.0, np.sqrt(s), 0.0]]),
+                               simplices=np.array([[0, 1], [0, 2]]))
+        assert lab._extreme_at(hull, np.array([0])) is extreme
 
 
 def test_envelope_determinism():
