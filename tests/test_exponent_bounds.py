@@ -334,3 +334,27 @@ def test_lower_chain_property(n, ratio, data):
     assert rep.closed_form_lower <= rep.f_at_gamma_star + 1e-12
     assert rep.f_at_gamma_star <= rep.epsilon_interior + 1e-12
     assert rep.stationarity_residual <= 1e-9
+
+
+@pytest.mark.parametrize("call", [
+    lambda: h.abstract_lower(3, math.nan),
+    lambda: h.abstract_lower(3, math.inf),
+    lambda: h.epsilon_upper(3, math.nan),
+    lambda: h.ass_conjecture(math.nan),
+    lambda: h.ass_conjecture(math.inf),
+    lambda: h.phi_lower(0.5, math.nan, 3),
+    lambda: h.RadialProfile(3, 1.0, 0.3, 1, math.inf),
+    lambda: h.Ellipticity(3, 2.0, True),
+    lambda: h.lattice_admissible_radius(2, True),
+    lambda: h.global_rho_j(True, E321),
+    lambda: h.wm1_envelope_bounds(math.inf),
+    lambda: h.ratio_a(math.inf),
+    lambda: h.lp_lower_bound(h.RadialProfile(3, 1.0, 0.1, 1.0, 2.0), math.inf),
+], ids=["abstract_lower-nan", "abstract_lower-inf", "epsilon_upper-nan", "ass_conjecture-nan",
+        "ass_conjecture-inf", "phi_lower-nan", "profile-inf-Lambda", "ellipticity-bool-k",
+        "lattice_radius-bool-m", "global_rho_j-bool-j", "wm1_bounds-inf", "ratio_a-inf",
+        "lp_lower_bound-inf"])
+def test_scalar_api_rejects_non_finite_and_bool(call):
+    # each of these returned nan, 0.0 or -inf, or read True as 1, without an error
+    with pytest.raises(h.DomainError):
+        call()
