@@ -29,7 +29,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -398,9 +397,7 @@ def _extreme_at(hull, verts: np.ndarray) -> bool:
     A vertex is extreme exactly when the unit normals of the facets at it span
     R^D; at a point inside a flat face they lie in one proper subspace. So
     G_i = sum n n^T over every facet at vertex i (vertical ones included) must
-    have its least eigenvalue above _VERTEX_MARGIN for each i in verts, that
-    is G_i - _VERTEX_MARGIN I must be positive definite: one batched Cholesky
-    factorisation decides all of them, and its failure is the refusal.
+    have its least eigenvalue above _VERTEX_MARGIN for each i in verts.
     """
     normals = hull.equations[:, :-1]
     D = normals.shape[1]
@@ -409,11 +406,7 @@ def _extreme_at(hull, verts: np.ndarray) -> bool:
     for j, k in zip(*np.triu_indices(D)):
         weights = np.repeat(normals[:, j] * normals[:, k], D)
         G[:, j, k] = G[:, k, j] = np.bincount(owner, weights)[verts]
-    try:
-        np.linalg.cholesky(G - _VERTEX_MARGIN * np.eye(D))
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    return bool((np.linalg.eigvalsh(G)[:, 0] > _VERTEX_MARGIN).all())
 
 
 def convex_envelope(w: GridFunction) -> GridFunction:
@@ -636,30 +629,6 @@ def tail_distribution(theta: ThetaField, restrict_radius: float,
     return TailDistribution(thresholds=t_grid, measures=measures, fitted_exponent=float(slope))
 
 
-def _two_at_a_time(fn, items) -> list:
-    """[fn(x) for x in items], with the odd-indexed items on one worker thread.
-
-    The caller computes the even-indexed items meanwhile. A single worker, not
-    one per CPU: each call in flight holds its own working memory (about
-    9.5 MB of qhull per 12,853-point contact hull). With one usable CPU
-    everything runs in the caller. The first exception in item order is
-    raised as it is, and queued items are then cancelled.
-    """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    if cpus < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        odd = [pool.submit(fn, x) for x in items[1::2]]
-        try:
-            return [odd[j // 2].result() if j % 2 else fn(x) for j, x in enumerate(items)]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-
-
 def decay_experiment(v: GridFunction, delta: float, levels: int,
                      e: Ellipticity) -> DecayReport:
     """Non-contact measure along openings (1+delta)^j, j = 0..levels.
@@ -668,9 +637,11 @@ def decay_experiment(v: GridFunction, delta: float, levels: int,
     opening (1+delta)^j (the module's hull-vertex test); the least-squares
     geometric decay factor of the nonzero counts is compared with the
     guaranteed 1 - c*(1+1/delta)^-n.
-    The openings are independent and qhull releases the GIL, so their contact
-    hulls are built two at a time (see _two_at_a_time); counts and stats are
-    gathered in opening order, the same as one after another.
+    The openings are independent and qhull releases the GIL, so two worker
+    threads build their contact hulls, two at a time: never more, as each
+    hull in flight holds its own qhull working memory (about 9.5 MB for a
+    12,853-point hull). Counts and stats are gathered in opening order, the
+    same as one after another; an opening's exception is raised as it is.
     Raises DegenerateData (carrying the partial report) when fewer than 3
     counts are nonzero.
     """
@@ -681,7 +652,9 @@ def decay_experiment(v: GridFunction, delta: float, levels: int,
     pts, _, inside = v._coords()
     pts = pts[inside]
     base = v.values.ravel()[inside]
-    found = _two_at_a_time(lambda a: _contact(pts, base, float(a), need_values=False), openings)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        found = list(pool.map(lambda a: _contact(pts, base, float(a), need_values=False),
+                              openings))
     counts = np.empty(levels + 1)
     stats: dict = {}
     for j, (_, on_hull, hull_stats) in enumerate(found):

@@ -845,10 +845,6 @@ def test_decay_bump_family_beats_lemma_rate(bump_grid):
     assert rep.empirical_ratio <= rep.theoretical_ratio
 
 
-def _cpus(monkeypatch, count):
-    monkeypatch.setattr(lab.os, "sched_getaffinity", lambda pid: set(range(count)))
-
-
 def _decay_or_partial(g, levels):
     try:
         return h.decay_experiment(g, 1.0, levels, h.Ellipticity(3, 2.0, 1))
@@ -857,9 +853,9 @@ def _decay_or_partial(g, levels):
 
 
 def test_decay_two_at_a_time_equals_serial(monkeypatch):
-    # the odd openings go to one worker thread; the counts, every opening's
-    # mask and the summed counters equal a one-CPU run, at critical openings
-    # too (the README plateau's 16 refuses its "Q0" hull)
+    # the openings are built on two threads; the counts, every opening's mask
+    # and the summed counters equal one _contact call per opening, at critical
+    # openings too (the README plateau's 16 refuses its "Q0" hull)
     contact, masks = lab._contact, {}
 
     def recorded(points, values, a, need_values):
@@ -869,65 +865,72 @@ def test_decay_two_at_a_time_equals_serial(monkeypatch):
     monkeypatch.setattr(lab, "_contact", recorded)
     serial_stats = []
     for g, *_ in _hull_corpus():
-        runs = []
-        for count in (1, 2):
-            _cpus(monkeypatch, count)
-            masks.clear()
-            runs.append((_decay_or_partial(g, 7), dict(masks)))
-        (serial, serial_masks), (paired, paired_masks) = runs
-        assert np.array_equal(serial.counts, paired.counts), g.shape
-        assert serial.stats == paired.stats and list(serial.stats) == list(paired.stats)
-        assert len(serial_masks) == 8 and serial_masks.keys() == paired_masks.keys()
-        assert all(np.array_equal(serial_masks[a], paired_masks[a]) for a in serial_masks)
-        serial_stats.append(serial.stats)
+        pts, _, inside = g._coords()
+        serial_masks, counts, stats = {}, [], {}
+        for a in 2.0 ** np.arange(8):
+            _, on_hull, hull_stats = contact(pts[inside], g.values.ravel()[inside], a, False)
+            serial_masks[a] = on_hull
+            counts.append((~on_hull).sum() * g.cell_measure)
+            for k, c in hull_stats.items():
+                stats[k] = stats.get(k, 0) + c
+        masks.clear()
+        paired = _decay_or_partial(g, 7)
+        assert np.array_equal(paired.counts, counts), g.shape
+        assert paired.stats == stats and list(paired.stats) == list(stats)
+        assert masks.keys() == serial_masks.keys()
+        assert all(np.array_equal(masks[a], serial_masks[a]) for a in serial_masks)
+        serial_stats.append(stats)
     plateau = serial_stats[1]
     assert (plateau["hull_calls"], plateau["q0_rejected"]) == (9, 1)
 
 
 def test_decay_builds_on_two_threads_at_most(monkeypatch):
-    seen = set()
+    # the first two builds wait for each other, so a serial decay times out
+    # here; no more than two builds are ever in flight
+    lock, both = threading.Lock(), threading.Barrier(2, timeout=10)
+    seen, calls, active, most = set(), [0], [0], [0]
 
     def hull(*args, **kwargs):
-        seen.add(threading.get_ident())
-        return ConvexHull(*args, **kwargs)
+        with lock:
+            seen.add(threading.get_ident())
+            calls[0] += 1
+            active[0] += 1
+            most[0] = max(most[0], active[0])
+            first_two = calls[0] <= 2
+        try:
+            if first_two:
+                both.wait()
+            return ConvexHull(*args, **kwargs)
+        finally:
+            with lock:
+                active[0] -= 1
     monkeypatch.setattr(lab, "ConvexHull", hull)
-    g = ridge_2d()
-    for count, threads in ((2, 2), (1, 1)):
-        _cpus(monkeypatch, count)
-        seen.clear()
-        _decay_or_partial(g, 5)
-        assert len(seen) == threads
-    # without an affinity call the CPU count decides
-    monkeypatch.delattr(lab.os, "sched_getaffinity")
-    monkeypatch.setattr(lab.os, "cpu_count", lambda: 1)
-    seen.clear()
-    _decay_or_partial(g, 5)
-    assert seen == {threading.get_ident()}
+    _decay_or_partial(ridge_2d(), 5)
+    assert len(seen) == 2 and threading.get_ident() not in seen
+    assert most[0] == 2 and calls[0] >= 6
 
 
 def test_decay_worker_error_is_raised_as_it_is(monkeypatch):
-    contact, error, raised_in = lab._contact, h.GeometryError("forced in the worker"), []
+    contact, error, built = lab._contact, h.GeometryError("forced at opening 4"), []
 
     def failing(points, values, a, need_values):
-        if threading.current_thread() is not threading.main_thread():
-            raised_in.append(a)
+        if a == 4.0:
             raise error
+        built.append(a)
         return contact(points, values, a, need_values)
     monkeypatch.setattr(lab, "_contact", failing)
-    _cpus(monkeypatch, 2)
     with pytest.raises(h.GeometryError) as info:
         h.decay_experiment(ridge_2d(), 1.0, 5, h.Ellipticity(3, 2.0, 1))
-    assert info.value is error and raised_in[0] == 2.0
+    assert info.value is error and {1.0, 2.0} <= set(built)
 
 
-def test_decay_partial_report_sums_the_counters(monkeypatch):
+def test_decay_partial_report_sums_the_counters():
     g = h.grid_from_callable(lambda p: (p ** 2).sum(axis=1), 2, 33, domain_radius=1.0)
     pts, _, inside = g._coords()
     want = {}
     for a in 2.0 ** np.arange(6):
         for k, c in lab._contact(pts[inside], g.values.ravel()[inside], a, False)[2].items():
             want[k] = want.get(k, 0) + c
-    _cpus(monkeypatch, 2)
     with pytest.raises(h.DegenerateData) as exc:
         h.decay_experiment(g, 1.0, 5, h.Ellipticity(2, 2.0, 1))
     assert exc.value.report.stats == want and want["hull_calls"] == 6
