@@ -45,11 +45,10 @@ _VERTICAL_TOL = 1e-12
 _AFFINE_RTOL = 1e-9
 _CERT_RTOL = 1e-12
 _CERT_BLOCK = 100_000  # elements per block of the primal certificate check
-_QHULL_OPTIONS = ("Q0", "Qx")  # no pre-merge first, then merged facets
-_HULL_COUNTERS = ("hull_calls", "hull_points", "q0_raised", "q0_rejected")
 # least eigenvalue of sum n n^T (unit facet normals at a vertex) that shows the
 # vertex is an extreme point; inside a flat face it is zero up to rounding
 _VERTEX_MARGIN = 1e-12
+_LIFT_RESOLUTION = 4096  # K of the contact opening limit, see _require_resolved
 
 
 @dataclass
@@ -104,6 +103,12 @@ class GridFunction:
 
     def inside_mask(self) -> np.ndarray:
         return self._coords()[2].reshape(self.shape)
+
+    def _scatter(self, inside: np.ndarray, arr: np.ndarray, fill) -> np.ndarray:
+        """arr at the flat sample indices flagged by inside, fill elsewhere, in grid shape."""
+        out = np.full(self.values.size, fill, dtype=arr.dtype)
+        out[inside] = arr
+        return out.reshape(self.shape)
 
     def _coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # points(), their squared distances to the centre and the inside flags,
@@ -218,8 +223,8 @@ class EnvelopeResult:
     """Envelope values and the contact mask at one opening.
 
     stats holds the counters of _lifted_hull (hull_calls, hull_points,
-    q0_raised, q0_rejected) and lower_facets, the downward facets of the hull
-    used (0 for a flat lift).
+    q0_raised), q0_rejected (see _contact) and lower_facets, the downward
+    facets of the hull used (0 for a flat lift).
     """
 
     opening: float
@@ -241,9 +246,8 @@ class ThetaField:
     values are reported but carry extra discretization error.
 
     stats holds the counters of _lifted_hull (hull_calls, hull_points,
-    q0_raised, q0_rejected), hull_facets and contact_facets (facets of the
-    hull used, and those with c_v > 0; both 0 where no lifted hull was used)
-    and certified (samples whose two bounds agree).
+    q0_raised), hull_facets and contact_facets (facets of the hull used, and
+    those with c_v > 0; 0 without a lifted hull) and certified (all samples).
     """
 
     theta: np.ndarray
@@ -300,77 +304,72 @@ def _corners(points: np.ndarray) -> np.ndarray:
         raise GeometryError(f"the {n} samples inside the ball do not span R^{d}") from exc
 
 
-def _affine_fit(A: np.ndarray, y: np.ndarray):
-    """Least-squares coefficients of y on the columns of A, or None if they miss y."""
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    # a NaN residual (non-finite data) is a miss too
-    if not np.abs(A @ coef - y).max() <= _AFFINE_RTOL * max(1.0, float(np.abs(y).max())):
-        return None
-    return coef
+def _lifted_hull(cloud: np.ndarray, d: int):
+    """Hull of a lifted cloud: (hull, None, counters), or (None, affine fit, counters).
 
-
-def _lifted_hull(cloud: np.ndarray, d: int, check):
-    """Hull of a lifted cloud: (hull, check's result, counters), or (None, affine fit, counters).
-
-    "Q0" (no pre-merge) first: merging the coplanar lifts of cocircular grid
-    cells costs 2.5 times more on the contact hull of the bump and 10-25 times
-    more on Theta's. A sample inside a flat face can then come back as a
-    vertex, so that hull is kept only when check(hull) -> (result, ok) accepts
-    it. Otherwise, or if "Q0" raises on a lift that is not flat, one merged
-    ("Qx") rebuild is returned with check's result on it; qhull is not
-    joggled, and "Qx" raising is a GeometryError. The lift is flat when column
-    d is affine in the others plus a constant (last in the fit). Counters:
-    hull_calls and hull_points (builds, raised ones included, and their
-    points), q0_raised (flat lifts included) and q0_rejected (check refused).
+    Built with "Q0" (no pre-merge; merging the coplanar lifts of cocircular
+    cells costs 2.5 times on the bump's contact hull, 10-25 times on Theta's),
+    so a sample inside a flat face can come back as a vertex. If "Q0" raises,
+    the lift is flat when column d is affine in the others plus a constant
+    (last in the fit); else one merged hull is built. Counters: hull_calls,
+    hull_points (raised builds included) and q0_raised (flat lifts included).
     """
     n = len(cloud)
-    stats = dict.fromkeys(_HULL_COUNTERS, 0)
-    for option in _QHULL_OPTIONS:
-        stats["hull_calls"] += 1
-        stats["hull_points"] += n
-        rebuild = stats["hull_calls"] > 1
-        try:
-            hull = ConvexHull(cloud, qhull_options=option)
-        except QhullError as exc:
-            if rebuild:
-                raise GeometryError(
-                    f"qhull failed on a lift of {n} samples that is not flat") from exc
-            stats["q0_raised"] = 1
-            coef = _affine_fit(np.column_stack([np.delete(cloud, d, axis=1), np.ones(n)]),
-                               cloud[:, d])
-            if coef is not None:
-                return None, coef, stats
-            continue
-        result, ok = check(hull)
-        if ok or rebuild:
-            return hull, result, stats
-        stats["q0_rejected"] = 1
+    stats = dict(hull_calls=1, hull_points=n, q0_raised=0)
+    try:
+        return ConvexHull(cloud, qhull_options="Q0"), None, stats
+    except QhullError:
+        stats["q0_raised"] = 1
+    A, y = np.column_stack([np.delete(cloud, d, axis=1), np.ones(n)]), cloud[:, d]
+    coef = np.linalg.lstsq(A, y, rcond=None)[0]
+    # the least-squares fit must reproduce y; a NaN residual (non-finite data) is not flat
+    if np.abs(A @ coef - y).max() <= _AFFINE_RTOL * max(1.0, float(np.abs(y).max())):
+        return None, coef, stats
+    return _merged_hull(cloud, stats), None, stats
+
+
+def _merged_hull(cloud: np.ndarray, stats: dict):
+    """The "Qx" (merged facets) hull, counted into stats; no joggle: raising is a GeometryError."""
+    stats["hull_calls"] += 1
+    stats["hull_points"] += len(cloud)
+    try:
+        return ConvexHull(cloud, qhull_options="Qx")
+    except QhullError as exc:
+        raise GeometryError(
+            f"qhull failed on a lift of {len(cloud)} samples that is not flat") from exc
 
 
 def _contact(points: np.ndarray, values: np.ndarray, a: float, need_values: bool):
     """Lower hull of values + (a/2)|x|^2: (a-convex envelope or None, contact mask, counters).
 
-    The mask marks vertices of downward facets, checked by _extreme_at (the
-    x-hull corners where the lift is flat: one facet); the envelope is the lift
-    there and the largest supporting plane of those facets elsewhere (the data
-    where flat). The counters are _lifted_hull's plus lower_facets.
+    The mask marks vertices of downward facets (the x-hull corners where the
+    lift is flat: one facet); the envelope is the lift there and the largest
+    supporting plane of those facets elsewhere (the data where flat). If
+    _extreme_at refuses a "Q0" hull's marked vertices, the merged hull decides.
+    Counters: _lifted_hull's, q0_rejected (that rebuild) and lower_facets.
     """
     n, d = points.shape
     shift = 0.5 * a * (points ** 2).sum(axis=1)
     lifted = values + shift
+    cloud = np.column_stack([points, lifted])
 
     def lower_vertices(hull):
         lower = hull.equations[:, d] < -_VERTICAL_TOL
         mask = np.zeros(n, dtype=bool)
         mask[hull.simplices[lower]] = True
-        return (lower, mask), _extreme_at(hull, np.flatnonzero(mask))
+        return lower, mask
 
-    hull, found, stats = _lifted_hull(np.column_stack([points, lifted]), d, lower_vertices)
+    hull, _, stats = _lifted_hull(cloud, d)
+    stats["q0_rejected"] = 0
     if hull is None:
         on_hull = np.zeros(n, dtype=bool)
         on_hull[_corners(points)] = True
         return (lifted - shift if need_values else None), on_hull, stats | {"lower_facets": 0}
-    lower, on_hull = found
+    lower, on_hull = lower_vertices(hull)
+    if not stats["q0_raised"] and not _extreme_at(hull, np.flatnonzero(on_hull)):
+        stats["q0_rejected"] = 1
+        hull = _merged_hull(cloud, stats)
+        lower, on_hull = lower_vertices(hull)
     stats["lower_facets"] = int(lower.sum())
     if not need_values:
         return None, on_hull, stats
@@ -398,6 +397,7 @@ def _extreme_at(hull, verts: np.ndarray) -> bool:
     R^D; at a point inside a flat face they lie in one proper subspace. So
     G_i = sum n n^T over every facet at vertex i (vertical ones included) must
     have its least eigenvalue above _VERTEX_MARGIN for each i in verts.
+    It is not exact: just above an opening where the lift is flat, it refuses true vertices.
     """
     normals = hull.equations[:, :-1]
     D = normals.shape[1]
@@ -407,6 +407,18 @@ def _extreme_at(hull, verts: np.ndarray) -> bool:
         weights = np.repeat(normals[:, j] * normals[:, k], D)
         G[:, j, k] = G[:, k, j] = np.bincount(owner, weights)[verts]
     return bool((np.linalg.eigvalsh(G)[:, 0] > _VERTEX_MARGIN).all())
+
+
+def _require_resolved(a: float, points: np.ndarray, spacing: float, context: str = "") -> None:
+    """DomainError unless a R^3 eps <= h^2/K, K = 4096 (R the largest |x|, h the spacing).
+
+    Beyond, rounding at the lift's size a R^2/2 swamps a sample's gap to its neighbours'
+    facets (about h^2/R): on 1-3-D grids contact first went wrong from K = 64 down to 10.
+    """
+    limit = spacing ** 2 / (_LIFT_RESOLUTION * np.finfo(float).eps)
+    if a * float(np.sqrt((points ** 2).sum(axis=1).max())) ** 3 > limit:
+        raise DomainError(f"opening {a:.6g}{context} is past the lift's resolution on this "
+                          f"grid: contact needs a R^3 eps <= h^2/{_LIFT_RESOLUTION}")
 
 
 def convex_envelope(w: GridFunction) -> GridFunction:
@@ -423,22 +435,16 @@ def a_convex_envelope(v: GridFunction, a: float) -> EnvelopeResult:
 
     Uses the shift identity: the a-convex envelope equals the convex envelope
     of v + (a/2)|x|^2 minus (a/2)|x|^2. Contact is the module's hull-vertex test.
+    An opening with a R^3 eps > h^2/4096, R the largest |x| and h the spacing,
+    is past the lift's resolution: a DomainError (see _require_resolved).
     """
     require_finite("a", a, 0.0)
     pts, _, inside = v._coords()
+    _require_resolved(a, pts[inside], v.spacing)
     env_in, on_hull, stats = _contact(pts[inside], v.values.ravel()[inside], a,
                                       need_values=True)
-
-    envelope = np.full(v.values.size, np.nan)
-    envelope[inside] = env_in
-    contact = np.zeros(v.values.size, dtype=bool)
-    contact[inside] = on_hull
-    return EnvelopeResult(
-        opening=float(a),
-        envelope=envelope.reshape(v.shape),
-        contact_mask=contact.reshape(v.shape),
-        stats=stats,
-    )
+    return EnvelopeResult(opening=float(a), envelope=v._scatter(inside, env_in, np.nan),
+                          contact_mask=v._scatter(inside, on_hull, False), stats=stats)
 
 
 def theta_field(v: GridFunction, a_max: float, bisect_tol: float | None = None) -> ThetaField:
@@ -459,9 +465,8 @@ def theta_field(v: GridFunction, a_max: float, bisect_tol: float | None = None) 
     minimising facet, stays below all N samples (so Theta <= a), and
     bracket_lo is sum_k lam_k (v_i - v_k) for weights lam >= 0 on the other
     vertices of a minimising facet with sum lam_k dx_k = 0 and
-    sum lam_k |dx_k|^2/2 = 1 (so Theta >= it, by LP duality). These
-    certificates are the check of _lifted_hull; GeometryError names the count
-    of samples they leave uncertified on the merged rebuild.
+    sum lam_k |dx_k|^2/2 = 1 (so Theta >= it, by LP duality). They decide on
+    the hull _lifted_hull returns: GeometryError names the uncertified count.
 
     theta is bracket_hi where it is at most a_max (converged), and a_max with
     converged False elsewhere. bisect_tol is accepted and ignored; it is
@@ -473,19 +478,13 @@ def theta_field(v: GridFunction, a_max: float, bisect_tol: float | None = None) 
     pts, d2, inside = v._coords()
     lo, hi, stats = _exact_theta(pts[inside], v.values.ravel()[inside])
     converged = hi <= a_max
-
-    def expand(arr_inside, fill, dtype):
-        out = np.full(v.values.size, fill, dtype=dtype)
-        out[inside] = arr_inside
-        return out.reshape(v.shape)
-
     d_to_boundary = v.domain_radius - np.sqrt(d2)
     interior = (d_to_boundary >= 2.0 * v.spacing) & inside
     return ThetaField(
-        theta=expand(np.where(converged, hi, a_max), np.nan, float),
-        converged=expand(converged, False, bool),
-        bracket_lo=expand(lo, np.nan, float),
-        bracket_hi=expand(hi, np.nan, float),
+        theta=v._scatter(inside, np.where(converged, hi, a_max), np.nan),
+        converged=v._scatter(inside, converged, False),
+        bracket_lo=v._scatter(inside, lo, np.nan),
+        bracket_hi=v._scatter(inside, hi, np.nan),
         interior=interior.reshape(v.shape),
         grid=v,
         stats=stats,
@@ -501,24 +500,23 @@ def _exact_theta(points: np.ndarray, values: np.ndarray):
     if len(corners) == n:
         # Theta = 0 at every x-hull vertex; with no sample left inside, the lift
         # may span no hull (four square corners have equal q)
-        return np.zeros(n), np.zeros(n), dict.fromkeys(_HULL_COUNTERS, 0) | no_hull
+        return np.zeros(n), np.zeros(n), dict(hull_calls=0, hull_points=0, q0_raised=0) | no_hull
     cloud = np.column_stack([points, values, q])
-    hull, found, stats = _lifted_hull(
-        cloud, d, lambda hull: _certified_theta(hull, cloud, d, corners))
+    hull, coef, stats = _lifted_hull(cloud, d)
     if hull is None:
         # a flat lift, v = b.x + c q + e: Theta = max(0, -c) off the corners
-        theta = np.full(n, max(0.0, -float(found[-2])))
+        theta = np.full(n, max(0.0, -float(coef[-2])))
         theta[corners] = 0.0
         return theta, theta, stats | no_hull
-    lo, hi, failed, contact_facets = found
+    lo, hi, failed, contact_facets = _certified_theta(hull, cloud, d, corners)
     if failed:
-        raise GeometryError(f"Theta left {failed} of {n} samples uncertified on the merged rebuild")
+        raise GeometryError(f"Theta left {failed} of {n} samples uncertified")
     return lo, hi, stats | dict(hull_facets=len(hull.simplices),
                                 contact_facets=contact_facets, certified=n)
 
 
 def _certified_theta(hull, cloud: np.ndarray, d: int, corners: np.ndarray):
-    """((lo, hi, failed count, contact facet count), none failed) from the hull's normal cones."""
+    """(lo, hi, failed count, contact facet count) from the hull's normal cones."""
     n = len(cloud)
     points, values, q = cloud[:, :d], cloud[:, d], cloud[:, d + 1]
     normal = -hull.equations[:, :d + 2]          # inward
@@ -585,7 +583,7 @@ def _certified_theta(hull, cloud: np.ndarray, d: int, corners: np.ndarray):
     ok[touched] = (worst >= -_CERT_RTOL * scale) & (gap <= _CERT_RTOL * np.maximum(1.0, a))
     ok[corners] = True
     lo[corners] = hi[corners] = 0.0
-    return (lo, hi, int((~ok).sum()), int(up.sum())), bool(ok.all())
+    return lo, hi, int((~ok).sum()), int(up.sum())
 
 
 def tail_distribution(theta: ThetaField, restrict_radius: float,
@@ -643,7 +641,7 @@ def decay_experiment(v: GridFunction, delta: float, levels: int,
     12,853-point hull). Counts and stats are gathered in opening order, the
     same as one after another; an opening's exception is raised as it is.
     Raises DegenerateData (carrying the partial report) when fewer than 3
-    counts are nonzero.
+    counts are nonzero, and DomainError if the last opening is too large.
     """
     require_positive("delta", delta)
     require_int("levels", levels, 2)
@@ -651,6 +649,7 @@ def decay_experiment(v: GridFunction, delta: float, levels: int,
     openings = (1.0 + delta) ** np.arange(levels + 1)
     pts, _, inside = v._coords()
     pts = pts[inside]
+    _require_resolved(openings[-1], pts, v.spacing, f" (delta={delta:g}, levels={levels})")
     base = v.values.ravel()[inside]
     with ThreadPoolExecutor(max_workers=2) as pool:
         found = list(pool.map(lambda a: _contact(pts, base, float(a), need_values=False),

@@ -210,7 +210,8 @@ def test_theta_command(tmp_path, capsys):
     # the paraboloid lifts to a flat cloud: "Q0" raises, no hull is used and
     # every sample is exact
     assert (comments["theta_hull_calls"], comments["theta_q0_raised"],
-            comments["theta_q0_rejected"], comments["theta_hull_facets"]) == ("1", "1", "0", "0")
+            comments["theta_hull_facets"]) == ("1", "1", "0")
+    assert "theta_q0_rejected" not in comments   # a contact-only counter
     assert comments["theta_certified"] == comments["theta_hull_points"] \
         == str(int(g.inside_mask().sum()))
     # the old bisection flag is still accepted, and changes nothing

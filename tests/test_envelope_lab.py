@@ -2,6 +2,7 @@ import json
 import re
 import threading
 import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -313,7 +314,9 @@ def test_a_convex_envelope_paraboloid_thresholds():
 
 
 def test_flat_lift_contact_is_corners_in_every_dimension():
-    # v = -(a0/2)|x|^2 + affine lifts flat at a0 and strictly convex above it
+    # v = -(a0/2)|x|^2 + affine lifts flat at a0 and strictly convex above it;
+    # just above a0 the vertex test refuses true vertices, whose facet normals
+    # nearly share a plane, so the merged rebuild decides there
     a0 = 3.0
     for dim, n in ((1, 33), (2, 25), (3, 11)):
         g = h.grid_from_callable(
@@ -325,6 +328,7 @@ def test_flat_lift_contact_is_corners_in_every_dimension():
         assert np.abs(at.envelope[inside] - g.values[inside]).max() <= 1e-12
         above = h.a_convex_envelope(g, a0 * (1.0 + 1e-9))
         assert above.contact_mask[inside].all(), dim
+        assert (above.stats["hull_calls"], above.stats["q0_rejected"]) == (2, 1), dim
 
 
 def test_qhull_failure_on_non_flat_lift_is_geometry_error(monkeypatch):
@@ -440,9 +444,9 @@ def test_contact_mask_equals_merged_hull():
 
 @pytest.mark.parametrize("engine", ["contact", "theta"])
 def test_lifted_hull_policy(engine, monkeypatch):
-    # both engines' lifts go through one policy: "Q0", kept when check accepts
-    # it; else, or when "Q0" raises on a lift that is not flat, one "Qx"
-    # rebuild returned with check's result; a flat lift is None and its fit
+    # both engines' lifts go through one policy: the "Q0" hull as built; if
+    # "Q0" raises, a flat lift is None with its affine fit, and any other
+    # lift gets one "Qx" hull, whose raising is the one GeometryError
     def lift(values):
         g = h.grid_from_callable(values, 2, 17, domain_radius=1.0)
         pts, _, inside = g._coords()
@@ -462,36 +466,38 @@ def test_lifted_hull_policy(engine, monkeypatch):
         return built[-1][1]
     monkeypatch.setattr(lab, "ConvexHull", hull)
 
-    def counters(stats):
-        return tuple(stats[k] for k in ("hull_calls", "hull_points", "q0_raised", "q0_rejected"))
+    def options():
+        return [o for o, _ in built]
 
-    # "Q0" raises on a lift that is not flat: "Qx" is built, checked and used
+    # "Q0" builds: its hull is returned as it is, with no fit
+    got, coef, stats = lab._lifted_hull(ridge, d)
+    assert options() == ["Q0"] and got is built[-1][1] and coef is None
+    assert stats == dict(hull_calls=1, hull_points=n, q0_raised=0)
+
+    # "Q0" raises on a lift that is not flat: one "Qx" build is returned
     raising.add("Q0")
-    got, result, stats = lab._lifted_hull(ridge, d, lambda hull: (hull, True))
-    assert [o for o, _ in built] == ["Q0", "Qx"] and got is result is built[-1][1]
-    assert counters(stats) == (2, 2 * n, 1, 0)
-
-    # check refuses "Q0": "Qx" is used, with check's result on it whatever it says
-    raising.clear()
     built.clear()
-    got, result, stats = lab._lifted_hull(ridge, d, lambda hull: (hull, False))
-    assert [o for o, _ in built] == ["Q0", "Qx"] and got is result is built[-1][1]
-    assert counters(stats) == (2, 2 * n, 0, 1)
+    got, coef, stats = lab._lifted_hull(ridge, d)
+    assert options() == ["Q0", "Qx"] and got is built[-1][1] and coef is None
+    assert stats == dict(hull_calls=2, hull_points=2 * n, q0_raised=1)
 
     # a flat lift costs one build and comes back as None with its affine fit:
     # v + 2q = 0.3 x1 - 0.2 x2 + 1 (contact), v = 0.3 x1 - 0.2 x2 - 3q + 1 (Theta)
+    raising.clear()
     built.clear()
     flat = lift(lambda p: -1.5 * (p ** 2).sum(axis=1) + 0.3 * p[:, 0] - 0.2 * p[:, 1] + 1.0
                 + (0.5 * (p ** 2).sum(axis=1) if engine == "contact" else 0.0))
-    got, coef, stats = lab._lifted_hull(flat, d, lambda hull: pytest.fail("checked a flat lift"))
+    got, coef, stats = lab._lifted_hull(flat, d)
     want = [0.3, -0.2, 1.0] if engine == "contact" else [0.3, -0.2, -3.0, 1.0]
     assert got is None and np.allclose(coef, want, rtol=0.0, atol=1e-12)
-    assert [o for o, _ in built] == ["Q0"] and counters(stats) == (1, n, 1, 0)
+    assert options() == ["Q0"] and stats == dict(hull_calls=1, hull_points=n, q0_raised=1)
 
-    # a raising "Qx" build on a lift that is not flat is the one GeometryError
+    # "Q0" and "Qx" both raising on a lift that is not flat is the GeometryError
     raising.update({"Q0", "Qx"})
+    built.clear()
     with pytest.raises(h.GeometryError, match="not flat"):
-        lab._lifted_hull(ridge, d, lambda hull: (hull, True))
+        lab._lifted_hull(ridge, d)
+    assert options() == ["Q0", "Qx"]
 
 
 def test_q0_hull_with_a_non_extreme_vertex_is_rebuilt(monkeypatch):
@@ -695,13 +701,13 @@ def _failing_hull(fail):
 
 def test_theta_merged_fallback_matches(bump33, monkeypatch):
     plain = h.theta_field(bump33, a_max=600.0)
-    assert (plain.stats["hull_calls"], plain.stats["q0_raised"], plain.stats["q0_rejected"]) \
-        == (1, 0, 0) and plain.stats["hull_facets"] > 0
+    assert (plain.stats["hull_calls"], plain.stats["q0_raised"]) == (1, 0)
+    assert plain.stats["hull_facets"] > 0
     monkeypatch.setattr(lab, "ConvexHull", _failing_hull(lambda opt: opt == "Q0"))
     merged = h.theta_field(bump33, a_max=600.0)
-    # "Q0" raised, so no certificate failed, and the "Qx" hull was used
-    assert (merged.stats["hull_calls"], merged.stats["q0_raised"], merged.stats["q0_rejected"]) \
-        == (2, 1, 0) and merged.stats["hull_facets"] > 0
+    # "Q0" raised, and the "Qx" hull was used and certified; Theta counts no rejection
+    assert (merged.stats["hull_calls"], merged.stats["q0_raised"]) == (2, 1)
+    assert merged.stats["hull_facets"] > 0 and "q0_rejected" not in merged.stats
     inside = bump33.inside_mask()
     for name in ("theta", "bracket_lo", "bracket_hi"):
         x, y = getattr(plain, name)[inside], getattr(merged, name)[inside]
@@ -729,26 +735,25 @@ def test_theta_non_supporting_facets_are_caught(bump33, monkeypatch):
 def test_theta_missing_facets_are_caught(bump33, monkeypatch):
     # a "Q0" hull without the facets that give one sample its Theta: the next
     # facet still supports the data, but its ratio is too high, which the dual
-    # certificate rejects; the merged rebuild gives the right field
-    plain = h.theta_field(bump33, a_max=600.0)
+    # certificate rejects; Theta keeps the hull it built, so that sample is
+    # named as uncertified after one lifted build
     target = int(bump33.inside_mask().sum()) // 2 + 3   # x = (0, 3h), Theta about 5.0
+    built = []
 
     def hull(cloud, qhull_options=None):
         full = ConvexHull(cloud, qhull_options=qhull_options)
-        if qhull_options != "Q0":
+        if qhull_options is None:
             return full
+        built.append(qhull_options)
         inward = -full.equations
         at = (full.simplices == target).any(axis=1) & (inward[:, -3] > 0.0)
         ratio = np.where(at, inward[:, -2] / np.where(at, inward[:, -3], 1.0), np.inf)
         keep = ratio > ratio.min() + 1e-9
         return SimpleNamespace(simplices=full.simplices[keep], equations=full.equations[keep])
     monkeypatch.setattr(lab, "ConvexHull", hull)
-    checked = h.theta_field(bump33, a_max=600.0)
-    # a certificate failed on "Q0", which built
-    assert (checked.stats["hull_calls"], checked.stats["q0_raised"],
-            checked.stats["q0_rejected"]) == (2, 0, 1)
-    inside = bump33.inside_mask()
-    assert np.allclose(checked.theta[inside], plain.theta[inside], rtol=1e-12, atol=1e-12)
+    with pytest.raises(h.GeometryError, match=r"left 1 of \d+ samples uncertified"):
+        h.theta_field(bump33, a_max=600.0)
+    assert built == ["Q0"]
 
 
 def test_theta_all_hulls_failing_is_geometry_error(bump33, monkeypatch):
@@ -837,6 +842,39 @@ def test_decay_truncated_paraboloid_plateau():
     corners = len(ConvexHull(g.points()[core.ravel()]).vertices)
     assert counts[4] == core.sum() - corners
     assert (counts[5:] == 0).all()                   # openings 32, 64
+
+
+def test_openings_past_the_lift_resolution_are_domain_errors(bump_grid):
+    # max(-8|x|^2, -1) lifts strictly convex above 16, so every sample is in
+    # contact; yet qhull's hull left only 2,913 of 3,209 samples in contact at
+    # 3.2e11 and 10 at 1e13 on 65^2, and 10,158 of 12,853 at 1e11 on 129^2.
+    # Past a R^3 eps = h^2/4096 (R = 1 here: (0, +-1) are samples) the
+    # opening is refused instead
+    def plateau(n):
+        return h.grid_from_callable(lambda p: np.maximum(-8.0 * (p ** 2).sum(axis=1), -1.0),
+                                    2, n)
+    for n, wrong in ((65, (3.2e11, 1e13)), (129, (1e11,))):
+        g = plateau(n)
+        for a in wrong:
+            with pytest.raises(h.DomainError, match="past the lift's resolution") as info:
+                h.a_convex_envelope(g, a)
+            assert str(info.value).startswith(f"opening {a:g} ")
+    # R counts the centre: moved to (3, 0), R = 4 and the limit falls 64-fold
+    # (there the first wrong mask came at 1.8e10)
+    moved = replace(plateau(33), center=(3.0, 0.0))
+    for g, R in ((plateau(65), 1.0), (plateau(129), 1.0), (moved, 4.0)):
+        limit = g.spacing ** 2 / (4096 * np.finfo(float).eps * R ** 3)
+        assert h.a_convex_envelope(g, limit).contact_mask[g.inside_mask()].all()
+        with pytest.raises(h.DomainError):
+            h.a_convex_envelope(g, limit * (1.0 + 1e-12))
+    # decay on 17^2 up to 2^44 returned counts that climbed back from 0 to
+    # 3.08 from 2^40 on; the last opening is checked before any hull is built
+    e = h.Ellipticity(3, 2.0, 1)
+    with pytest.raises(h.DomainError, match=r"\(delta=1, levels=44\) is past"):
+        h.decay_experiment(plateau(17), 1.0, 44, e)
+    assert (h.decay_experiment(plateau(17), 1.0, 34, e).counts[5:] == 0.0).all()
+    # the benchmark's openings are far below the limit (2.7e8 on the 129^2 bump)
+    assert h.a_convex_envelope(bump_grid, 1e6).contact_mask[bump_grid.inside_mask()].all()
 
 
 def test_decay_bump_family_beats_lemma_rate(bump_grid):
