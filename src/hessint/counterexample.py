@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gamma as _gamma_fn
 
 from .envelope_lab import GridFunction, grid_from_callable
 from .errors import (AdmissibilityError, ConditionError, DomainError, GeometryError, is_number,
@@ -301,6 +300,11 @@ def lp_lower_bound(p: RadialProfile, epsilon: float) -> float:
     return count * _per_ball_integral(p, epsilon)
 
 
+def _sphere_area(n: int) -> float:
+    """Area 2 pi^(n/2) / Gamma(n/2) of the unit sphere in R^n (OverflowError from n = 344)."""
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+
+
 def _per_ball_integral(p: RadialProfile, epsilon: float) -> float:
     """Guaranteed Theta^eps mass of one bump over its annulus lo < r < R/2.
 
@@ -316,9 +320,8 @@ def _per_ball_integral(p: RadialProfile, epsilon: float) -> float:
             f"truncation radius {lo:.6g} reaches the annulus edge R/2 = {hi:.6g}; R too large"
         )
     q = (a + 2.0) * epsilon - n
-    S = 2.0 * math.pi ** (n / 2.0) / _gamma_fn(n / 2.0)
     K = ((p.lam / p.Lam) * (1.0 - 2.0 ** (-(a + 2.0)))) ** epsilon
-    return S * K * p.R ** ((a + 2.0) * epsilon) * (lo ** -q - hi ** -q) / q
+    return _sphere_area(n) * K * p.R ** ((a + 2.0) * epsilon) * (lo ** -q - hi ** -q) / q
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (DegenerateData, DomainError, GeometryError, GridFormatError, is_int,
                      is_number, require_finite, require_int, require_positive)
@@ -293,6 +292,19 @@ class DecayReport:
     stats: dict = field(default_factory=dict)
 
 
+def ConvexHull(points: np.ndarray, qhull_options: str | None = None):
+    """scipy's qhull hull. scipy.spatial is imported on the first hull, not with
+    hessint: its import costs 0.3-0.4 s that the scalar commands never use."""
+    from scipy.spatial import ConvexHull as hull
+    return hull(points, qhull_options=qhull_options)
+
+
+def _qhull_error() -> type:
+    """scipy's QhullError, for except clauses: they evaluate it only on the error path."""
+    from scipy.spatial import QhullError
+    return QhullError
+
+
 def _corners(points: np.ndarray) -> np.ndarray:
     """Indices of the x-hull vertices; GeometryError if the points do not span R^d."""
     n, d = points.shape
@@ -300,7 +312,7 @@ def _corners(points: np.ndarray) -> np.ndarray:
         return np.unique([points[:, 0].argmin(), points[:, 0].argmax()])
     try:
         return ConvexHull(points).vertices
-    except QhullError as exc:
+    except _qhull_error() as exc:
         raise GeometryError(f"the {n} samples inside the ball do not span R^{d}") from exc
 
 
@@ -318,7 +330,7 @@ def _lifted_hull(cloud: np.ndarray, d: int):
     stats = dict(hull_calls=1, hull_points=n, q0_raised=0)
     try:
         return ConvexHull(cloud, qhull_options="Q0"), None, stats
-    except QhullError:
+    except _qhull_error():
         stats["q0_raised"] = 1
     A, y = np.column_stack([np.delete(cloud, d, axis=1), np.ones(n)]), cloud[:, d]
     coef = np.linalg.lstsq(A, y, rcond=None)[0]
@@ -334,7 +346,7 @@ def _merged_hull(cloud: np.ndarray, stats: dict):
     stats["hull_points"] += len(cloud)
     try:
         return ConvexHull(cloud, qhull_options="Qx")
-    except QhullError as exc:
+    except _qhull_error() as exc:
         raise GeometryError(
             f"qhull failed on a lift of {len(cloud)} samples that is not flat") from exc
 
@@ -412,6 +424,8 @@ def _extreme_at(hull, verts: np.ndarray) -> bool:
 def _require_resolved(a: float, points: np.ndarray, spacing: float, context: str = "") -> None:
     """DomainError unless a R^3 eps <= h^2/K, K = 4096 (R the largest |x|, h the spacing).
 
+    x is taken about the grid's centre, as _contact lifts it.
+
     Beyond, rounding at the lift's size a R^2/2 swamps a sample's gap to its neighbours'
     facets (about h^2/R): on 1-3-D grids contact first went wrong from K = 64 down to 10.
     """
@@ -435,14 +449,18 @@ def a_convex_envelope(v: GridFunction, a: float) -> EnvelopeResult:
 
     Uses the shift identity: the a-convex envelope equals the convex envelope
     of v + (a/2)|x|^2 minus (a/2)|x|^2. Contact is the module's hull-vertex test.
-    An opening with a R^3 eps > h^2/4096, R the largest |x| and h the spacing,
-    is past the lift's resolution: a DomainError (see _require_resolved).
+    The lift is taken about the grid's centre: it differs from the lift about
+    the origin by an affine function, which leaves the envelope and the
+    contact set unchanged, and its size no longer grows with the centre's.
+    An opening with a R^3 eps > h^2/4096, R the largest |x - center| and h
+    the spacing, is past the lift's resolution: a DomainError (see
+    _require_resolved).
     """
     require_finite("a", a, 0.0)
     pts, _, inside = v._coords()
-    _require_resolved(a, pts[inside], v.spacing)
-    env_in, on_hull, stats = _contact(pts[inside], v.values.ravel()[inside], a,
-                                      need_values=True)
+    pts = pts[inside] - v.center
+    _require_resolved(a, pts, v.spacing)
+    env_in, on_hull, stats = _contact(pts, v.values.ravel()[inside], a, need_values=True)
     return EnvelopeResult(opening=float(a), envelope=v._scatter(inside, env_in, np.nan),
                           contact_mask=v._scatter(inside, on_hull, False), stats=stats)
 
@@ -648,7 +666,7 @@ def decay_experiment(v: GridFunction, delta: float, levels: int,
 
     openings = (1.0 + delta) ** np.arange(levels + 1)
     pts, _, inside = v._coords()
-    pts = pts[inside]
+    pts = pts[inside] - v.center  # lifted about the centre, as in a_convex_envelope
     _require_resolved(openings[-1], pts, v.spacing, f" (delta={delta:g}, levels={levels})")
     base = v.values.ravel()[inside]
     with ThreadPoolExecutor(max_workers=2) as pool:

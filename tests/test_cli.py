@@ -339,16 +339,49 @@ def test_config_value_gets_its_flag_type(tmp_path, capsys):
     assert "restrict_radius" in err
 
 
-def test_module_entry_point():
-    # the child finds the package where this process imported it from
+def run_child(*args):
+    """A fresh interpreter that finds the package where this process imported it from."""
     src = str(Path(h.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "hessint.cli", "bounds", "--n", "3", "--ratio", "2",
-         "--reproducible"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+def test_module_entry_point():
+    proc = run_child("-m", "hessint.cli", "bounds", "--n", "3", "--ratio", "2",
+                     "--reproducible")
     assert proc.returncode == 0
     assert "epsilon_upper" in proc.stdout
+
+
+def test_cold_import_leaves_out_scipy_spatial_and_special():
+    # scipy.spatial (qhull) is imported on the first hull and Gamma comes from
+    # math, so a scalar command never pays their 0.3-0.4 s import
+    proc = run_child("-c", "import sys, hessint.cli; "
+                           "print(*(m for m in sys.modules if m.startswith('scipy')))")
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "scipy" in loaded            # for scipy_version in the provenance
+    assert not [m for m in loaded if m.startswith(("scipy.spatial", "scipy.special"))]
+
+
+@pytest.mark.parametrize("argv", [
+    ["decay", "--delta", "1", "--levels", "4", "--n", "3", "--ratio", "2"],
+    ["theta", "--a-max", "600"],
+], ids=["decay", "theta"])
+def test_cold_cli_writes_what_the_warm_one_does(tmp_path, capsys, argv):
+    # in a fresh interpreter the first hull imports scipy.spatial; decay builds
+    # it on its two worker threads, so both import it at once
+    grid_path = tmp_path / "bump.json"
+    h.capped_bump(h.RadialProfile(3, 1.0, 0.35, 1.0, 2.0), 33).save(grid_path)
+    argv = [*argv, "--input", str(grid_path), "--reproducible", "--output"]
+    cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
+    proc = run_child("-c", "import sys, hessint.cli as cli; "
+                           "assert 'scipy.spatial' not in sys.modules; "
+                           "sys.exit(cli.main(sys.argv[1:]))", *argv, str(cold))
+    assert proc.returncode == 0, proc.stderr
+    assert run_cli(capsys, *argv, str(warm))[0] == 0
+    assert cold.read_bytes() == warm.read_bytes()
 
 
 def test_lambertw_near_the_top_of_the_float_range(capsys):

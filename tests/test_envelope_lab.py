@@ -859,14 +859,17 @@ def test_openings_past_the_lift_resolution_are_domain_errors(bump_grid):
             with pytest.raises(h.DomainError, match="past the lift's resolution") as info:
                 h.a_convex_envelope(g, a)
             assert str(info.value).startswith(f"opening {a:g} ")
-    # R counts the centre: moved to (3, 0), R = 4 and the limit falls 64-fold
-    # (there the first wrong mask came at 1.8e10)
-    moved = replace(plateau(33), center=(3.0, 0.0))
-    for g, R in ((plateau(65), 1.0), (plateau(129), 1.0), (moved, 4.0)):
-        limit = g.spacing ** 2 / (4096 * np.finfo(float).eps * R ** 3)
+    # the lift is taken about the grid's centre, so a moved grid keeps R = 1,
+    # the centred limit and the centred mask
+    moved, far = (replace(plateau(33), center=c) for c in ((3.0, 0.0), (100.0, 0.0)))
+    for g in (plateau(65), plateau(129), moved, far):
+        limit = g.spacing ** 2 / (4096 * np.finfo(float).eps)
         assert h.a_convex_envelope(g, limit).contact_mask[g.inside_mask()].all()
         with pytest.raises(h.DomainError):
             h.a_convex_envelope(g, limit * (1.0 + 1e-12))
+    for a in (16.0, 1e6):      # 16: the plateau's flat facet
+        assert (h.a_convex_envelope(far, a).contact_mask
+                == h.a_convex_envelope(plateau(33), a).contact_mask).all()
     # decay on 17^2 up to 2^44 returned counts that climbed back from 0 to
     # 3.08 from 2^40 on; the last opening is checked before any hull is built
     e = h.Ellipticity(3, 2.0, 1)
