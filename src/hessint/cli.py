@@ -38,11 +38,7 @@ _USAGE_ERRORS = (DomainError, OptimizationError, GeometryError, ConditionError,
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        return format(x, ".17g")
-    return str(x)
+    return format(x, ".17g") if isinstance(x, float) else str(x)  # any NaN is "nan"
 
 
 def _null_nan(record: dict) -> dict:

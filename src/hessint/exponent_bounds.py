@@ -16,6 +16,7 @@ directions of assumed negative curvature.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import warnings
@@ -37,6 +38,7 @@ _SPLIT = 2.0 ** 27 + 1.0  # Veltkamp's constant: splits a double into two 26-bit
 # gamma values for the maximizer scan of epsilon_interior: 1 - gamma geometric
 # from 1 - 1e-9 down to 2^-53, so the maximizer stays inside the scan as c -> 1
 _SCAN = 1.0 - np.geomspace(1.0 - 1e-9, 2.0 ** -53, 1000)
+_SCAN_LOG1P = np.log1p(-_SCAN)  # phi's denominator on the scan
 
 
 @dataclass(frozen=True)
@@ -175,9 +177,19 @@ def phi_lower(gamma: float, c: float, n: int) -> float:
 
 def _stationarity_gap(gamma: float, c: float, n: int) -> float:
     # n*c*g^(n-1)(1-g)/(1-c*g^n) - phi(g); vanishes exactly at critical points,
-    # positive left of the interior max, negative right of it
-    expr = n * c * gamma ** (n - 1) * (1.0 - gamma) / (1.0 - c * gamma ** n)
-    return expr - _phi(gamma, c, n)
+    # positive left of the interior max, negative right of it. c*g^n is shared
+    # by both terms, each rounded as _phi rounds it
+    cgn = c * gamma ** n
+    expr = n * c * gamma ** (n - 1) * (1.0 - gamma) / (1.0 - cgn)
+    return expr - math.log1p(-cgn) / math.log1p(-gamma)
+
+
+@functools.lru_cache(maxsize=1)
+def _scan_power(n: int) -> np.ndarray:
+    # _SCAN ** n, shared by the reports of one n: sweeps loop over n outermost
+    power = _SCAN ** n
+    power.flags.writeable = False
+    return power
 
 
 def epsilon_interior(e: Ellipticity) -> tuple[float, float, float]:
@@ -200,8 +212,17 @@ def epsilon_interior(e: Ellipticity) -> tuple[float, float, float]:
     3 <= n <= 40 the scan bracket fails once rho - 1 is below about 1e-14,
     and elsewhere the bisection stops inside that noise, which the residual
     shows (up to about 7e-3 at rho - 1 = 1e-13 for n <= 200).
+
+    The bisection runs on Python floats, whose ** and log1p are the C
+    library's; numpy scalars give the same bits at about 3x the cost. It must
+    not be vectorized across reports: where numpy's array ** and log1p use
+    SIMD loops they round differently from the C library (in 5-8% of inputs
+    on an AVX-512 machine), which would move gamma0 and eps.
     """
-    c = c_star(e)
+    return _epsilon_interior(e, c_star(e))
+
+
+def _epsilon_interior(e: Ellipticity, c: float) -> tuple[float, float, float]:
     n = e.n
     if c == 1.0:
         return 1.0, 1.0, 0.0
@@ -210,7 +231,7 @@ def epsilon_interior(e: Ellipticity) -> tuple[float, float, float]:
             f"c_star = {c:.3g} is below the normal float range at n={n}, "
             f"ratio={e.ratio}, k={e.k}; phi cannot be maximized")
 
-    vals = np.log1p(-c * _SCAN ** n) / np.log1p(-_SCAN)
+    vals = np.log1p(-c * _scan_power(n)) / _SCAN_LOG1P
     i = int(np.argmax(vals))
     if i == 0 or i == len(_SCAN) - 1:
         raise OptimizationError(
@@ -219,7 +240,7 @@ def epsilon_interior(e: Ellipticity) -> tuple[float, float, float]:
         )
     # the gap is positive left of the maximizer and negative right of it;
     # bisect it on the scan bracket down to adjacent floats
-    lo, hi = _SCAN[i - 1], _SCAN[i + 1]
+    lo, hi = float(_SCAN[i - 1]), float(_SCAN[i + 1])
     if not (_stationarity_gap(lo, c, n) > 0.0 > _stationarity_gap(hi, c, n)):
         raise OptimizationError(
             f"stationarity gap does not change sign from + to - on the scan bracket "
@@ -246,10 +267,17 @@ def gamma_star(n: int) -> float:
     Solves gamma/(1-gamma) = -n ln(1-gamma); lies in (0,1) for n >= 2.
     """
     require_int("n", n, 2)
+    return _gamma_star(n)
+
+
+# cached for the last n only, as _scan_power and _tau_kernel are
+@functools.lru_cache(maxsize=1)
+def _gamma_star(n: int) -> float:
     w = lambert_wm1(-(1.0 / n) * math.exp(-1.0 / n)).value
     return 1.0 + 1.0 / (n * w)
 
 
+@functools.lru_cache(maxsize=1)
 def _tau_kernel(n: float) -> float:
     # n(e-1)ln(n)/(1+n e ln n) * (n ln n / (1 + n ln n))^n, log1p-stable
     t = n * math.log(n)
@@ -269,10 +297,14 @@ def closed_form_lower(e: Ellipticity) -> float:
     Expands to n(e-1)/(1+n e ln n) * (n ln n/(1+n ln n))^n * c_star. Defined
     for n >= 2; n = 2 is outside the asymptotic regime and emits a warning.
     """
-    if e.n == 2:
+    return _closed_form_lower(e.n, c_star(e))
+
+
+def _closed_form_lower(n: int, cs: float) -> float:
+    if n == 2:
         warnings.warn("closed_form_lower at n = 2 is outside the asymptotic regime",
-                      stacklevel=2)
-    return _tau_kernel(float(e.n)) / math.log(e.n) * c_star(e)
+                      stacklevel=3)
+    return _tau_kernel(float(n)) / math.log(n) * cs
 
 
 def refined_lower(e: Ellipticity) -> float:
@@ -321,7 +353,11 @@ def epsilon_global(e: Ellipticity) -> float:
     c* = c_star(e), which is ln(1 - c* phi^-(n+2)) / (-2 ln phi) for the
     golden ratio phi; within 4 ulps of a 60-digit reference for n <= 1000.
     """
-    return math.log1p(-c_star(e) * _golden(-(e.n + 2))) / (-2.0 * _LN_GOLDEN)
+    return _epsilon_global(e.n, c_star(e))
+
+
+def _epsilon_global(n: int, cs: float) -> float:
+    return math.log1p(-cs * _golden(-(n + 2))) / (-2.0 * _LN_GOLDEN)
 
 
 def global_rho_j(j: int, e: Ellipticity) -> float:
@@ -372,7 +408,7 @@ def thresholds(alpha: float, e: Ellipticity) -> ThresholdData:
             t_min_interior = math.inf
             interior_scale = 0.0
         else:
-            t_min_interior = (1.0 - float(gamma0)) ** (-(j + 1))
+            t_min_interior = (1.0 - gamma0) ** (-(j + 1))
             interior_scale = ((1.0 - gamma0) / gamma0) * 2.0 ** 6
         t_min_global = _golden(2 * (j + 1))
     except OverflowError:
@@ -423,11 +459,11 @@ def rho_for_beta(n: int, beta: float) -> float:
 def compute_report(e: Ellipticity) -> ExponentReport:
     """Assemble every bound for one configuration; undefined fields are NaN."""
     c = pucci_c(e)
-    cs = c_star(e)
-    gamma0, eps, resid = epsilon_interior(e)
+    cs = c_star(e)  # once, for the four bounds built on it
+    gamma0, eps, resid = _epsilon_interior(e, cs)
     gs = gamma_star(e.n)
     f_at_gs = phi_lower(gs, cs, e.n)
-    cfl = closed_form_lower(e)
+    cfl = _closed_form_lower(e.n, cs)
     tau_n = tau(e.n) if e.n >= 3 else math.nan
     refined = refined_lower(e) if (e.n >= 3 and 2 * e.k < e.n) else math.nan
     abstract = abstract_lower(e.n, e.ratio) if e.n >= 3 else math.nan
@@ -448,5 +484,5 @@ def compute_report(e: Ellipticity) -> ExponentReport:
         abstract_lower=abstract,
         epsilon_upper=epsilon_upper(e.n, e.ratio),
         ass_conjecture=ass_conjecture(e.ratio),
-        epsilon_global=epsilon_global(e),
+        epsilon_global=_epsilon_global(e.n, cs),
     )

@@ -154,6 +154,17 @@ def test_json_writes_nan_as_null(capsys):
     assert doc["rows"][0]["refined_lower"] is None
 
 
+def test_csv_writes_nan_cells_as_nan(capsys):
+    # at n = 2 the asymptotic bounds are undefined; format writes any NaN as nan
+    with pytest.warns(UserWarning, match="asymptotic regime"):
+        code, out, _ = run_cli(capsys, "sweep", "--n-range", "2", "--ratios", "2",
+                               "--reproducible")
+    assert code == 0
+    row = parse_csv(out)[1][0]
+    nan_cols = [c for c, v in row.items() if v == "nan"]
+    assert nan_cols == ["tau_n", "refined_lower", "abstract_lower", "refined_lower_normalized"]
+
+
 def test_t0_beta_round_trip_row(capsys):
     code, out, _ = run_cli(capsys, "t0", "--n", "3", "--beta", "2", "--reproducible")
     assert code == 0
@@ -368,20 +379,25 @@ def test_cold_import_leaves_out_scipy_spatial_and_special():
 @pytest.mark.parametrize("argv", [
     ["decay", "--delta", "1", "--levels", "4", "--n", "3", "--ratio", "2"],
     ["theta", "--a-max", "600"],
-], ids=["decay", "theta"])
+    ["sweep", "--n-range", "3,4,5,6,3", "--ratios", "1,2,7.3", "--k-rule", "half"],
+], ids=["decay", "theta", "sweep"])
 def test_cold_cli_writes_what_the_warm_one_does(tmp_path, capsys, argv):
     # in a fresh interpreter the first hull imports scipy.spatial; decay builds
-    # it on its two worker threads, so both import it at once
-    grid_path = tmp_path / "bump.json"
-    h.capped_bump(h.RadialProfile(3, 1.0, 0.35, 1.0, 2.0), 33).save(grid_path)
-    argv = [*argv, "--input", str(grid_path), "--reproducible", "--output"]
-    cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
+    # it on its two worker threads, so both import it at once. The sweep's
+    # per-n caches outlive a call, so the second warm sweep starts on a hit
+    if argv[0] != "sweep":
+        grid_path = tmp_path / "bump.json"
+        h.capped_bump(h.RadialProfile(3, 1.0, 0.35, 1.0, 2.0), 33).save(grid_path)
+        argv = [*argv, "--input", str(grid_path)]
+    argv = [*argv, "--reproducible", "--output"]
+    cold = tmp_path / "cold.csv"
     proc = run_child("-c", "import sys, hessint.cli as cli; "
                            "assert 'scipy.spatial' not in sys.modules; "
                            "sys.exit(cli.main(sys.argv[1:]))", *argv, str(cold))
     assert proc.returncode == 0, proc.stderr
-    assert run_cli(capsys, *argv, str(warm))[0] == 0
-    assert cold.read_bytes() == warm.read_bytes()
+    for warm in (tmp_path / "warm1.csv", tmp_path / "warm2.csv"):
+        assert run_cli(capsys, *argv, str(warm))[0] == 0
+        assert cold.read_bytes() == warm.read_bytes()
 
 
 def test_lambertw_near_the_top_of_the_float_range(capsys):

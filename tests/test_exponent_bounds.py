@@ -1,5 +1,8 @@
+import dataclasses
 import decimal
 import math
+import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -116,6 +119,16 @@ def test_gamma_star_satisfies_stationarity():
 
 def test_gamma_star_frozen_value():
     assert abs(h.gamma_star(3) - 0.8510007034874914) <= 1e-15
+
+
+def test_gamma_star_checks_n_before_its_cache():
+    # 3.0 and True compare equal to the integers 3 and 1, so whatever the
+    # cache's keying, the argument check must run before the cache lookup
+    g = h.gamma_star(3)
+    for bad in (3.0, True):
+        with pytest.raises(h.DomainError):
+            h.gamma_star(bad)
+    assert h.gamma_star(3) == g
 
 
 def test_tau_frozen_value_and_bounds():
@@ -358,3 +371,113 @@ def test_scalar_api_rejects_non_finite_and_bool(call):
     # each of these returned nan, 0.0 or -inf, or read True as 1, without an error
     with pytest.raises(h.DomainError):
         call()
+
+
+def _scalar_bisection_oracle(e, c):
+    # epsilon_interior as it was written before its caches: the scan rebuilt
+    # per call, a numpy-scalar bracket, phi's power taken twice per gap
+    n = e.n
+    if c == 1.0:
+        return 1.0, 1.0, 0.0
+    if c < sys.float_info.min:
+        raise h.DomainError(
+            f"c_star = {c:.3g} is below the normal float range at n={n}, "
+            f"ratio={e.ratio}, k={e.k}; phi cannot be maximized")
+    scan = 1.0 - np.geomspace(1.0 - 1e-9, 2.0 ** -53, 1000)
+
+    def gap(g):
+        expr = n * c * g ** (n - 1) * (1.0 - g) / (1.0 - c * g ** n)
+        return expr - math.log1p(-c * g ** n) / math.log1p(-g)
+
+    i = int(np.argmax(np.log1p(-c * scan ** n) / np.log1p(-scan)))
+    if i == 0 or i == len(scan) - 1:
+        raise h.OptimizationError(
+            f"coarse scan put the maximum at the boundary (gamma={scan[i]:.3g}); "
+            "cannot bracket an interior maximizer"
+        )
+    lo, hi = scan[i - 1], scan[i + 1]
+    assert isinstance(lo, np.float64)
+    if not (gap(lo) > 0.0 > gap(hi)):
+        raise h.OptimizationError(
+            f"stationarity gap does not change sign from + to - on the scan bracket "
+            f"[{lo:.17g}, {hi:.17g}]"
+        )
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if gap(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    gamma0 = 0.5 * (lo + hi)
+    return gamma0, h.phi(gamma0, c, n), abs(gap(gamma0))
+
+
+def _report_oracle(e):
+    # every field from its own public function, c_star and gamma_star recomputed
+    n, cs = e.n, h.c_star(e)
+    gamma0, eps, resid = _scalar_bisection_oracle(e, cs)
+    gs = 1.0 + 1.0 / (n * h.lambert_wm1(-(1.0 / n) * math.exp(-1.0 / n)).value)
+    return dict(
+        n=n, ratio=e.ratio, k=e.k, c=h.pucci_c(e), c_star=cs, gamma0=gamma0,
+        epsilon_interior=eps, stationarity_residual=resid, gamma_star=gs,
+        f_at_gamma_star=h.phi_lower(gs, cs, n), closed_form_lower=h.closed_form_lower(e),
+        tau_n=h.tau(n) if n >= 3 else math.nan,
+        refined_lower=h.refined_lower(e) if (n >= 3 and 2 * e.k < n) else math.nan,
+        abstract_lower=h.abstract_lower(n, e.ratio) if n >= 3 else math.nan,
+        epsilon_upper=h.epsilon_upper(n, e.ratio), ass_conjecture=h.ass_conjecture(e.ratio),
+        epsilon_global=h.epsilon_global(e),
+    )
+
+
+def _outcome(fn, *args):
+    # the value, NaN as a string so == compares it, or the error's type and text
+    try:
+        out = fn(*args)
+    except (h.DomainError, h.OptimizationError) as exc:
+        return type(exc), str(exc)
+    items = out.items() if isinstance(out, dict) else enumerate(out)
+    return {k: "nan" if isinstance(v, float) and math.isnan(v) else v for k, v in items}
+
+
+@pytest.mark.filterwarnings("ignore:closed_form_lower at n = 2")
+def test_reports_bitwise_equal_the_numpy_scalar_bisection():
+    # the per-n caches, the shared c_star and the Python-float bisection
+    # change no bit of any report, nor any error, against the uncached path
+    rng = np.random.default_rng(20)
+    # 1 + 1e-14 fails the scan bracket for ten of these n (OptimizationError);
+    # c_star leaves the normal range at large n and ratio (DomainError)
+    ratios = [1.0 + 1e-14, 1.0 + 1e-12, 1.0 + 1e-9, 2.0,
+              *(1e6 ** (1.0 - rng.uniform(size=6)))]
+    seen = set()
+    for rule in ("one", "half"):
+        for n in range(2, 201, 3):
+            k = 1 if rule == "one" else max(1, n // 2 - 1)
+            for ratio in ratios:
+                e = h.Ellipticity(n, float(ratio), k)
+                want = _outcome(_report_oracle, e)
+                assert _outcome(lambda: vars(h.compute_report(e))) == want, e
+                got = _outcome(h.epsilon_interior, e)
+                if isinstance(want, tuple):  # the same error, word for word
+                    assert got == want, e
+                    seen.add(want[0])
+                else:
+                    assert got == {i: want[f] for i, f in enumerate(
+                        ("gamma0", "epsilon_interior", "stationarity_residual"))}, e
+                    seen.add("ok")
+    assert seen == {"ok", h.DomainError, h.OptimizationError}
+
+
+@pytest.mark.parametrize("e", [E321, h.Ellipticity(2, 2.0, 1), h.Ellipticity(4, 1.0, 2),
+                               h.Ellipticity(9, 7.3, 3)], ids=["3-2-1", "n2", "ratio1", "9-7.3-3"])
+def test_report_and_threshold_floats_are_python_floats(e):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rep = h.compute_report(e)
+    td = h.thresholds(rep.epsilon_interior / 3.0, e)
+    for obj in (rep, td):
+        floats = [f.name for f in dataclasses.fields(obj) if f.type in ("float", float)]
+        assert len(floats) >= 4
+        assert [(f, type(getattr(obj, f))) for f in floats
+                if type(getattr(obj, f)) is not float] == []
