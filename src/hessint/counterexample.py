@@ -23,6 +23,7 @@ from .errors import (AdmissibilityError, ConditionError, DomainError, GeometryEr
                      require_finite, require_int, require_positive)
 
 _TRUNCATION_CAP = 1.0
+_PI_LO = 1.2246467991473532e-16  # pi - math.pi, the part the float drops
 
 
 @dataclass(frozen=True)
@@ -301,8 +302,13 @@ def lp_lower_bound(p: RadialProfile, epsilon: float) -> float:
 
 
 def _sphere_area(n: int) -> float:
-    """Area 2 pi^(n/2) / Gamma(n/2) of the unit sphere in R^n (OverflowError from n = 344)."""
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    """Area 2 pi^(n/2) / Gamma(n/2) of the unit sphere in R^n (OverflowError from n = 344).
+
+    pi^(n/2) = math.pi^(n/2) (1 + _PI_LO/math.pi)^(n/2), corrected to first
+    order in _PI_LO, as exponent_bounds._golden corrects phi.
+    """
+    h = n / 2.0
+    return 2.0 * math.pi ** h / math.gamma(h) * (1.0 + h * _PI_LO / math.pi)
 
 
 def _per_ball_integral(p: RadialProfile, epsilon: float) -> float:

@@ -23,8 +23,6 @@ import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import DomainError, OptimizationError, is_int, is_number, require_finite, require_int
 from .special_functions import lambert_w0, lambert_wm1
 
@@ -35,10 +33,6 @@ _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 _GOLDEN_LO = -5.432115203682506e-17  # phi - _GOLDEN, the part the float drops
 _LN_GOLDEN = math.asinh(0.5)  # ln phi
 _SPLIT = 2.0 ** 27 + 1.0  # Veltkamp's constant: splits a double into two 26-bit halves
-# gamma values for the maximizer scan of epsilon_interior: 1 - gamma geometric
-# from 1 - 1e-9 down to 2^-53, so the maximizer stays inside the scan as c -> 1
-_SCAN = 1.0 - np.geomspace(1.0 - 1e-9, 2.0 ** -53, 1000)
-_SCAN_LOG1P = np.log1p(-_SCAN)  # phi's denominator on the scan
 
 
 @dataclass(frozen=True)
@@ -184,14 +178,6 @@ def _stationarity_gap(gamma: float, c: float, n: int) -> float:
     return expr - math.log1p(-cgn) / math.log1p(-gamma)
 
 
-@functools.lru_cache(maxsize=1)
-def _scan_power(n: int) -> np.ndarray:
-    # _SCAN ** n, shared by the reports of one n: sweeps loop over n outermost
-    power = _SCAN ** n
-    power.flags.writeable = False
-    return power
-
-
 def epsilon_interior(e: Ellipticity) -> tuple[float, float, float]:
     """Maximize phi over gamma in (0,1) with c = c_star(e).
 
@@ -202,16 +188,18 @@ def epsilon_interior(e: Ellipticity) -> tuple[float, float, float]:
     gamma -> 1-; the limiting triple (1.0, 1.0, 0.0) is returned since the
     stationarity identity holds in that limit.
 
-    One scan of gamma, geometric in 1 - gamma from 1 - 1e-9 down to 2^-53,
-    brackets the maximizer, then the stationarity gap is bisected down to
-    adjacent floats. Raises DomainError when c_star is below the normal
-    float range (n >= 76 at rho = 1e6, for k = 1), where phi has no
-    resolvable maximum, and OptimizationError when the scan does not bracket
-    a sign change of the gap. Near rho = 1, 1 - c*gamma^n at the maximizer is
-    of size rho - 1 and its rounding error decides the gap's sign: for some
-    3 <= n <= 40 the scan bracket fails once rho - 1 is below about 1e-14,
-    and elsewhere the bisection stops inside that noise, which the residual
-    shows (up to about 7e-3 at rho - 1 = 1e-13 for n <= 200).
+    The stationarity gap is bisected down to adjacent floats from just left
+    of gamma_star(n), where phi still rises, to the last float below 1.
+    Raises DomainError when c_star is below the normal float range (n >= 76
+    at rho = 1e6, for k = 1), where phi has no resolvable maximum, and
+    OptimizationError when the gap does not change sign from + to - on that
+    bracket; no configuration with n <= 200 (or n up to 5000 at sampled
+    ratios), rho - 1 from 2^-52 to 1e6 and k = 1 or n/2 - 1 raises it. Near
+    rho = 1, 1 - c*gamma^n at the maximizer is of size rho - 1 and its
+    rounding error decides the gap's sign, so the bisection stops inside
+    that noise, which the residual shows: for n <= 200 it reaches 1e-6 at
+    rho - 1 = 1e-9, 6e-4 at 1e-12, 6.5e-3 at 1e-13 and 1.3e-2 at 2e-14. eps
+    itself stays within phi's rounding of the maximum there.
 
     The bisection runs on Python floats, whose ** and log1p are the C
     library's; numpy scalars give the same bits at about 3x the cost. It must
@@ -231,19 +219,15 @@ def _epsilon_interior(e: Ellipticity, c: float) -> tuple[float, float, float]:
             f"c_star = {c:.3g} is below the normal float range at n={n}, "
             f"ratio={e.ratio}, k={e.k}; phi cannot be maximized")
 
-    vals = np.log1p(-c * _scan_power(n)) / _SCAN_LOG1P
-    i = int(np.argmax(vals))
-    if i == 0 or i == len(_SCAN) - 1:
-        raise OptimizationError(
-            f"coarse scan put the maximum at the boundary (gamma={_SCAN[i]:.3g}); "
-            "cannot bracket an interior maximizer"
-        )
-    # the gap is positive left of the maximizer and negative right of it;
-    # bisect it on the scan bracket down to adjacent floats
-    lo, hi = float(_SCAN[i - 1]), float(_SCAN[i + 1])
+    # phi = f*h with f(g) = c g^n / (-ln(1-g)), which peaks at gamma*, and
+    # h(g) = -ln(1 - c g^n)/(c g^n), which increases: so phi' > 0 at gamma*,
+    # and the gap, positive left of the maximizer and negative right of it,
+    # is bisected from just left of gamma* (1e-6 relative, clear of gamma*'s
+    # rounding) to the last float below 1
+    lo, hi = _gamma_star(n) * (1.0 - 1e-6), 1.0 - 2.0 ** -53
     if not (_stationarity_gap(lo, c, n) > 0.0 > _stationarity_gap(hi, c, n)):
         raise OptimizationError(
-            f"stationarity gap does not change sign from + to - on the scan bracket "
+            f"stationarity gap does not change sign from + to - on the bracket "
             f"[{lo:.17g}, {hi:.17g}]"
         )
     while True:
@@ -270,7 +254,7 @@ def gamma_star(n: int) -> float:
     return _gamma_star(n)
 
 
-# cached for the last n only, as _scan_power and _tau_kernel are
+# cached for the last n only, as _tau_kernel is
 @functools.lru_cache(maxsize=1)
 def _gamma_star(n: int) -> float:
     w = lambert_wm1(-(1.0 / n) * math.exp(-1.0 / n)).value

@@ -184,3 +184,36 @@ def lattice_count_slices(dim, R):
         return sum(count(d - 1, float(r)) for r in rems)
 
     return int(count(dim, reach * reach))
+
+
+def phi_max_mp(n, ratio, k):
+    """(gamma0, eps) = argmax and max of phi(gamma) = ln(1 - c gamma^n)/ln(1 - gamma), at 50 digits.
+
+    c = max over i = 1..k of (1 + (rho - 1) i/(n - i))^(i - n), from the float
+    ratio exactly. A grid geometric in 1 - gamma (10 points a decade, from
+    10^-0.1 down to 1e-30) finds the best cell, and the sign of phi' is
+    bisected on the cells either side of it.
+    """
+    with mpmath.workdps(50):
+        rho = mpmath.mpf(ratio)
+        c = max((1 + (rho - 1) * i / (n - i)) ** (i - n) for i in range(1, k + 1))
+
+        def phi(g):
+            return mpmath.log1p(-c * g ** n) / mpmath.log1p(-g)
+
+        def rising(g):  # phi'(g) > 0, with phi' times ln(1 - g)^2 > 0
+            cgn = c * g ** n
+            return mpmath.log1p(-cgn) / (1 - g) - n * cgn / (g * (1 - cgn)) * mpmath.log1p(-g) > 0
+
+        grid = [1 - mpmath.mpf(10) ** (-j / mpmath.mpf(10)) for j in range(1, 301)]
+        vals = [phi(g) for g in grid]
+        i = max(range(len(grid)), key=vals.__getitem__)
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+        for _ in range(180):
+            mid = (lo + hi) / 2
+            if rising(mid):
+                lo = mid
+            else:
+                hi = mid
+        g = (lo + hi) / 2
+        return g, phi(g)

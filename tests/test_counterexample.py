@@ -342,18 +342,18 @@ def test_divergence_scan_dominates_analytic_count_bound():
 
 
 def test_sphere_area_against_mpmath():
-    # 2 pi^(n/2) / Gamma(n/2) with math.gamma, against 50 digits at the same
-    # float pi: Gamma(n/2) is within 3 ulps and the area within 4 for every n
-    # the formula reaches (math.gamma overflows from n = 344). The rounding
-    # of pi itself adds up to (n/2) 3.9e-17 relative, 57 ulps at n = 342
+    # 2 pi^(n/2) / Gamma(n/2) with math.gamma, against 50 digits of the true
+    # pi: Gamma(n/2) is within 3 ulps and the area within 4 for every n the
+    # formula reaches (math.gamma overflows from n = 344). Without the
+    # correction for the rounding of pi, (n/2) 3.9e-17 relative, the area
+    # was 57 ulps off at n = 342
     def ulps(x, exact):
         return float(abs(mpmath.mpf(x) - exact) / math.ulp(float(exact)))
     with mpmath.workdps(50):
-        pi = mpmath.mpf(math.pi)
         for n in range(3, 343):
             gamma = mpmath.gamma(mpmath.mpf(n) / 2)
             assert ulps(math.gamma(n / 2.0), gamma) <= 3.0, n
-            assert ulps(_sphere_area(n), 2 * pi ** (mpmath.mpf(n) / 2) / gamma) <= 4.0, n
+            assert ulps(_sphere_area(n), 2 * mpmath.pi ** (mpmath.mpf(n) / 2) / gamma) <= 4.0, n
     assert _sphere_area(3) == 4.0 * math.pi
     with pytest.raises(OverflowError):     # not an inf Gamma and a silent area of 0.0
         _sphere_area(344)
