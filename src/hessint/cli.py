@@ -10,24 +10,26 @@ invocations produce byte-identical files under --reproducible, which
 suppresses the timestamp. Parameters take the value of their flag, else of the
 --config file, else the built-in default.
 
+Only the pure-Python layers are imported with this module. `theta`, `decay`
+and `counterexample` import numpy and the numpy layers when they run, and the
+numpy and scipy versions come from the installed package metadata, read once
+per process, so `bounds`, `sweep`, `lambertw` and `t0` never load numpy or
+scipy.
+
 Exit codes: 0 success, 2 domain/validation/I-O failure, 3 degenerate data.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-import scipy
-
 from . import __version__
-from . import counterexample as cx
-from . import envelope_lab as lab
 from . import exponent_bounds as xb
 from . import special_functions as sf
 from .errors import (AdmissibilityError, ConditionError, DegenerateData, DomainError,
@@ -46,11 +48,17 @@ def _null_nan(record: dict) -> dict:
     return {k: None if isinstance(v, float) and math.isnan(v) else v for k, v in record.items()}
 
 
+@functools.cache
+def _dependency_versions() -> dict:
+    # from the installed metadata, so that a scalar command imports neither package
+    from importlib.metadata import version
+    return {"numpy_version": version("numpy"), "scipy_version": version("scipy")}
+
+
 def _emit(args: argparse.Namespace, params: dict, rows: list[dict], prov: dict) -> None:
     prov["command"] = args.command
     prov.update({k: v for k, v in sorted(params.items()) if v is not None})
-    prov.update(hessint_version=__version__, numpy_version=np.__version__,
-                scipy_version=scipy.__version__)
+    prov.update(hessint_version=__version__, **_dependency_versions())
     if not args.reproducible:
         prov["generated_at"] = datetime.now(timezone.utc).isoformat()
 
@@ -136,6 +144,7 @@ def cmd_t0(p: dict) -> tuple[list[dict], dict]:
 
 
 def cmd_counterexample(p: dict) -> tuple[list[dict], dict]:
+    from . import counterexample as cx
     scan = cx.divergence_scan(p["n"], p["ratio"], p["eps"], _parse_range(p["mrange"]))
     if scan.condition_ok:
         prov = {"condition_ok": True, "alpha": scan.alpha,
@@ -150,6 +159,8 @@ def cmd_counterexample(p: dict) -> tuple[list[dict], dict]:
 
 
 def cmd_theta(p: dict) -> tuple[list[dict], dict]:
+    import numpy as np
+    from . import envelope_lab as lab
     grid = lab.GridFunction.load(p["input"])
     p.pop("bisect_tol")  # accepted and ignored: Theta is exact
     tf = lab.theta_field(grid, p["a_max"])
@@ -172,6 +183,7 @@ def cmd_theta(p: dict) -> tuple[list[dict], dict]:
 
 
 def cmd_decay(p: dict) -> tuple[list[dict], dict]:
+    from . import envelope_lab as lab
     grid = lab.GridFunction.load(p["input"])
     e = xb.Ellipticity(p["n"], p["ratio"], p["k"])
     prov = {"grid_hash": grid.content_hash()}

@@ -365,27 +365,38 @@ def test_module_entry_point():
     assert "epsilon_upper" in proc.stdout
 
 
-def test_cold_import_leaves_out_scipy_spatial_and_special():
-    # scipy.spatial (qhull) is imported on the first hull and Gamma comes from
-    # math, so a scalar command never pays their 0.3-0.4 s import
-    proc = run_child("-c", "import sys, hessint.cli; "
-                           "print(*(m for m in sys.modules if m.startswith('scipy')))")
+def test_cold_import_loads_no_numpy_or_scipy():
+    # the numpy layers are imported by the commands and names that use them,
+    # and the provenance versions come from the package metadata
+    proc = run_child("-c", "import sys\n"
+                           "def loaded(): return [m for m in sys.modules"
+                           " if m.split('.')[0] in ('numpy', 'scipy')]\n"
+                           "import hessint\n"
+                           "print(*loaded(), sep=',')\n"
+                           "import hessint.cli\n"
+                           "print(*loaded(), sep=',')")
     assert proc.returncode == 0, proc.stderr
-    loaded = proc.stdout.split()
-    assert "scipy" in loaded            # for scipy_version in the provenance
-    assert not [m for m in loaded if m.startswith(("scipy.spatial", "scipy.special"))]
+    assert proc.stdout == "\n\n"
+
+
+SCALAR_COMMANDS = ("bounds", "sweep", "lambertw", "t0")
 
 
 @pytest.mark.parametrize("argv", [
     ["decay", "--delta", "1", "--levels", "4", "--n", "3", "--ratio", "2"],
     ["theta", "--a-max", "600"],
     ["sweep", "--n-range", "3,4,5,6,3", "--ratios", "1,2,7.3", "--k-rule", "half"],
-], ids=["decay", "theta", "sweep"])
+    ["bounds", "--n", "20", "--ratio", "7.3", "--k", "3"],
+    ["lambertw", "--branch", "-1", "--z=-0.2,-0.05,-1e-300"],
+    ["t0", "--n", "5", "--beta", "2.5"],
+    ["counterexample", "--n", "3", "--ratio", "2", "--eps", "0.7", "--mrange", "3:6"],
+], ids=["decay", "theta", "sweep", "bounds", "lambertw", "t0", "counterexample"])
 def test_cold_cli_writes_what_the_warm_one_does(tmp_path, capsys, argv):
     # in a fresh interpreter the first hull imports scipy.spatial; decay builds
     # it on its two worker threads, so both import it at once. The sweep's
-    # per-n caches outlive a call, so the second warm sweep starts on a hit
-    if argv[0] != "sweep":
+    # per-n caches outlive a call, so the second warm sweep starts on a hit.
+    # The child prints the numpy and scipy modules loaded when main returns
+    if argv[0] in ("decay", "theta"):
         grid_path = tmp_path / "bump.json"
         h.capped_bump(h.RadialProfile(3, 1.0, 0.35, 1.0, 2.0), 33).save(grid_path)
         argv = [*argv, "--input", str(grid_path)]
@@ -393,11 +404,37 @@ def test_cold_cli_writes_what_the_warm_one_does(tmp_path, capsys, argv):
     cold = tmp_path / "cold.csv"
     proc = run_child("-c", "import sys, hessint.cli as cli; "
                            "assert 'scipy.spatial' not in sys.modules; "
-                           "sys.exit(cli.main(sys.argv[1:]))", *argv, str(cold))
+                           "code = cli.main(sys.argv[1:]); "
+                           "print(*(m for m in sys.modules"
+                           " if m.split('.')[0] in ('numpy', 'scipy'))); "
+                           "sys.exit(code)", *argv, str(cold))
     assert proc.returncode == 0, proc.stderr
+    if argv[0] in SCALAR_COMMANDS:
+        assert proc.stdout.split() == []
     for warm in (tmp_path / "warm1.csv", tmp_path / "warm2.csv"):
         assert run_cli(capsys, *argv, str(warm))[0] == 0
         assert cold.read_bytes() == warm.read_bytes()
+
+
+def test_provenance_versions_in_a_fresh_interpreter(tmp_path):
+    # the versions match the imported packages', and a second call in the same
+    # process takes them from the first instead of reading the metadata again
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    proc = run_child("-c", "import importlib.metadata, json, sys, hessint.cli as cli\n"
+                           "argv = ['bounds', '--n', '3', '--ratio', '2', '--format',"
+                           " 'json', '--reproducible', '--output']\n"
+                           "assert cli.main([*argv, sys.argv[1]]) == 0\n"
+                           "def read_again(name): raise AssertionError(name)\n"
+                           "importlib.metadata.version = read_again\n"
+                           "assert cli.main([*argv, sys.argv[2]]) == 0\n"
+                           "import numpy, scipy\n"
+                           "print(json.dumps([numpy.__version__, scipy.__version__]))",
+                     str(first), str(second))
+    assert proc.returncode == 0, proc.stderr
+    numpy_version, scipy_version = json.loads(proc.stdout)
+    prov = json.loads(first.read_text())["provenance"]
+    assert (prov["numpy_version"], prov["scipy_version"]) == (numpy_version, scipy_version)
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_lambertw_near_the_top_of_the_float_range(capsys):
