@@ -8,7 +8,7 @@ and the hessint, numpy and scipy versions) precedes the header as '#'-prefixed
 comment lines, or sits under the "provenance" key in JSON. Identical
 invocations produce byte-identical files under --reproducible, which
 suppresses the timestamp. Parameters take the value of their flag, else of the
---config file, else the built-in default.
+--config file (which may supply a required flag), else the built-in default.
 
 Only the pure-Python layers are imported with this module. `theta`, `decay`
 and `counterexample` import numpy and the numpy layers when they run, and the
@@ -80,18 +80,17 @@ def _emit(args: argparse.Namespace, params: dict, rows: list[dict], prov: dict) 
         sys.stdout.write(text)
 
 
-def _parse_range(text: str) -> list[int]:
-    if ":" in text:
+def _parse_list(p: dict, name: str, kind=float) -> list:
+    """The comma list (or, of ints, the a:b range) in p[name]; DomainError if it is empty."""
+    text = p[name]
+    if kind is int and ":" in text:
         a, b = text.split(":", 1)
-        lo, hi = int(a), int(b)
-        if hi < lo:
-            raise DomainError(f"range {text!r} is empty")
-        return list(range(lo, hi + 1))
-    return [int(x) for x in text.split(",") if x]
-
-
-def _parse_floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x]
+        values = list(range(int(a), int(b) + 1))
+    else:
+        values = [kind(x) for x in text.split(",") if x]
+    if not values:
+        raise DomainError(f"{name} {text!r} is empty")
+    return values
 
 
 def cmd_bounds(p: dict) -> tuple[list[dict], dict]:
@@ -101,8 +100,8 @@ def cmd_bounds(p: dict) -> tuple[list[dict], dict]:
 
 def cmd_sweep(p: dict) -> tuple[list[dict], dict]:
     rows = []
-    for n in _parse_range(p["n_range"]):
-        for ratio in _parse_floats(p["ratios"]):
+    for n in _parse_list(p, "n_range", int):
+        for ratio in _parse_list(p, "ratios"):
             if p["k_rule"] == "one":
                 k = 1
             else:
@@ -123,7 +122,7 @@ def cmd_sweep(p: dict) -> tuple[list[dict], dict]:
 def cmd_lambertw(p: dict) -> tuple[list[dict], dict]:
     solver = sf.lambert_w0 if p["branch"] == 0 else sf.lambert_wm1
     rows = []
-    for z in _parse_floats(p["z"]):
+    for z in _parse_list(p, "z"):
         bv = solver(z)
         rows.append({"z": z, "branch": p["branch"], "value": bv.value,
                      "residual": bv.residual})
@@ -145,7 +144,7 @@ def cmd_t0(p: dict) -> tuple[list[dict], dict]:
 
 def cmd_counterexample(p: dict) -> tuple[list[dict], dict]:
     from . import counterexample as cx
-    scan = cx.divergence_scan(p["n"], p["ratio"], p["eps"], _parse_range(p["mrange"]))
+    scan = cx.divergence_scan(p["n"], p["ratio"], p["eps"], _parse_list(p, "mrange", int))
     if scan.condition_ok:
         prov = {"condition_ok": True, "alpha": scan.alpha,
                 "fit_exponent": scan.fit_exponent, "fit_r_squared": scan.fit_r_squared}
@@ -168,7 +167,7 @@ def cmd_theta(p: dict) -> tuple[list[dict], dict]:
     if p["t_grid"] is None:
         t_grid = np.geomspace(p["a_max"] / 1000.0, p["a_max"], 25)
     else:
-        t_grid = np.asarray(_parse_floats(p["t_grid"]))
+        t_grid = np.asarray(_parse_list(p, "t_grid"))
     tail = lab.tail_distribution(tf, restrict, t_grid)
     prov = {
         "grid_hash": grid.content_hash(),
@@ -238,10 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sp.add_parser("theta", help="minimal-opening field and tail distribution")
     t.add_argument("--input", required=True, help="grid header JSON")
-    t.add_argument("--a-max", dest="a_max", type=float, required=True)
+    t.add_argument("--a-max", dest="a_max", type=float, required=True,
+                   help="sets converged_fraction and the default t-grid; Theta is exact above it")
     t.add_argument("--bisect-tol", dest="bisect_tol", type=float, default=None,
-                   help="ignored, since Theta is computed exactly; removed with the next"
-                        " benchmark revision")
+                   help="ignored: Theta is exact; removed with the next benchmark revision")
     t.add_argument("--restrict-radius", dest="restrict_radius", type=float, default=None,
                    help="radius of the tail region (default half the domain radius)")
     t.add_argument("--t-grid", dest="t_grid", default=None,
@@ -291,11 +290,19 @@ def _config_value(action: argparse.Action, value):
 
 def _parse(argv) -> tuple[argparse.Namespace, dict]:
     ap = build_parser()
-    args = ap.parse_args(argv)
-    if args.config:
-        loaded = json.loads(Path(args.config).read_text())
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
+    config = pre.parse_known_args(argv)[0].config
+    if config:
+        loaded = json.loads(Path(config).read_text())
         if not isinstance(loaded, dict):
             raise DomainError("config file must hold a JSON object")
+        # a config value stands in for its flag, which is then no longer required
+        subs = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction)).choices
+        for action in (a for sub in subs.values() for a in sub._actions if a.dest in loaded):
+            action.required = False
+    args = ap.parse_args(argv)
+    if config:
         unknown = set(loaded) - (set(vars(args)) - _COMMON_KEYS)
         if unknown:
             raise DomainError(f"config contains unknown keys: {sorted(unknown)}")
@@ -304,8 +311,8 @@ def _parse(argv) -> tuple[argparse.Namespace, dict]:
         args.parser.set_defaults(**{k: _config_value(actions[k], v) for k, v in loaded.items()})
         args = ap.parse_args(argv)
     params = {k: v for k, v in vars(args).items() if k not in _COMMON_KEYS}
-    if args.command == "t0" and params.get("ratio") is None and params.get("beta") is None:
-        raise DomainError("t0 requires --ratio or --beta")
+    if args.command == "t0" and (params["ratio"] is None) == (params["beta"] is None):
+        raise DomainError("t0 takes exactly one of --ratio and --beta")
     return args, params
 
 

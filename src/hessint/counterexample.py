@@ -354,7 +354,7 @@ def divergence_scan(n: int, ratio: float, epsilon: float, m_range) -> Divergence
     (1-4R)^n/(8 sqrt(n) R)^n guarantee, so still a true lower bound) by the
     per-ball annulus integral. When the divergence condition
     ((n-1)rho+1)eps > n fails the scan is empty with an explanatory note.
-    The fit is least squares of ln(bound) against ln(1/R) = m ln 2.
+    The fit is least squares of ln(bound) against ln(1/R) = m ln 2 (NaN for one m).
     """
     require_int("n", n, 3)
     require_finite("ratio", ratio, 1.0)
@@ -387,13 +387,15 @@ def divergence_scan(n: int, ratio: float, epsilon: float, m_range) -> Divergence
     Rs = np.asarray(Rs)
     bounds = np.asarray(bounds)
 
-    x = np.log(1.0 / Rs)
-    yv = np.log(bounds)
-    slope, intercept = np.polyfit(x, yv, 1)
-    pred = slope * x + intercept
-    ss_res = float(((yv - pred) ** 2).sum())
-    ss_tot = float(((yv - yv.mean()) ** 2).sum())
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else math.nan
+    slope = r2 = math.nan  # one point fits no line
+    if len(ms) >= 2:
+        x = np.log(1.0 / Rs)
+        yv = np.log(bounds)
+        slope, intercept = np.polyfit(x, yv, 1)
+        pred = slope * x + intercept
+        ss_res = float(((yv - pred) ** 2).sum())
+        ss_tot = float(((yv - yv.mean()) ** 2).sum())
+        r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else math.nan
     return DivergenceScan(
         epsilon=float(epsilon), R_sequence=Rs, lower_bounds=bounds, condition_ok=True,
         m_values=np.asarray(ms, dtype=int), alpha=alpha,

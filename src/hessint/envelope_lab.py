@@ -29,7 +29,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -239,11 +238,10 @@ class ThetaField:
     """Per-point minimal paraboloid opening with certified bounds.
 
     bracket_lo <= Theta <= bracket_hi, each end checked against the data (see
-    theta_field); the two agree to rounding. theta is bracket_hi where
-    converged (Theta <= a_max), and a_max where Theta exceeds a_max
-    (converged False; tail counts treat such points as Theta > t for every
-    t <= a_max). Samples outside the ball are NaN / False. interior flags
-    points at least two cells away from the ball boundary; boundary-ring
+    theta_field); the two agree to rounding. theta is bracket_hi at every
+    sample; converged flags Theta <= a_max, for the benchmark's Theta check
+    (see theta_field). Samples outside the ball are NaN / False. interior
+    flags points at least two cells away from the ball boundary; boundary-ring
     values are reported but carry extra discretization error.
 
     stats holds the counters of _lifted_hull (hull_calls, hull_points,
@@ -488,10 +486,10 @@ def theta_field(v: GridFunction, a_max: float, bisect_tol: float | None = None) 
     sum lam_k |dx_k|^2/2 = 1 (so Theta >= it, by LP duality). They decide on
     the hull _lifted_hull returns: GeometryError names the uncertified count.
 
-    theta is bracket_hi where it is at most a_max (converged), and a_max with
-    converged False elsewhere. bisect_tol is accepted and ignored; it is
-    removed with the benchmark revision that stops passing it (ROADMAP
-    direction 1): perfbench/selftest.py passes it positionally.
+    theta is bracket_hi at every sample. a_max only sets converged
+    (Theta <= a_max), which the benchmark's Theta check reads, and bisect_tol
+    is accepted and ignored, as the benchmark's self-test passes it
+    positionally; both go with the benchmark revision (ROADMAP direction 1).
     """
     require_positive("a_max", a_max)
 
@@ -501,7 +499,7 @@ def theta_field(v: GridFunction, a_max: float, bisect_tol: float | None = None) 
     d_to_boundary = v.domain_radius - np.sqrt(d2)
     interior = (d_to_boundary >= 2.0 * v.spacing) & inside
     return ThetaField(
-        theta=v._scatter(inside, np.where(converged, hi, a_max), np.nan),
+        theta=v._scatter(inside, hi, np.nan),
         converged=v._scatter(inside, converged, False),
         bracket_lo=v._scatter(inside, lo, np.nan),
         bracket_hi=v._scatter(inside, hi, np.nan),
@@ -609,11 +607,10 @@ def tail_distribution(theta: ThetaField, restrict_radius: float,
                       t_grid: np.ndarray) -> TailDistribution:
     """Measures |{Theta > t} ∩ B_restrict| and their log-log power-law fit.
 
-    Non-converged points count as exceeding every threshold (their true
-    Theta is only known to exceed a_max); thresholds above a_max would be
-    uninformative there and trigger a warning. Raises DomainError unless
-    restrict_radius is finite and positive and t_grid holds numbers (no bool)
-    that are finite, positive and strictly increasing.
+    Theta is exact at every sample, so every t, above a_max too, counts the
+    samples with theta > t. Raises DomainError unless restrict_radius is
+    finite and positive and t_grid holds numbers (no bool) that are finite,
+    positive and strictly increasing.
     """
     require_positive("restrict_radius", restrict_radius)
     if not all(is_number(t) for t in np.asarray(t_grid, dtype=object).ravel()):
@@ -625,18 +622,8 @@ def tail_distribution(theta: ThetaField, restrict_radius: float,
     g = theta.grid
     _, d2, inside = g._coords()
     region = ((d2 <= restrict_radius ** 2 + 1e-12) & inside).reshape(g.shape)
-    field = theta.theta
-    exceed_all = ~theta.converged
-    nonconv = exceed_all & region
-    if nonconv.any() and np.any(t_grid > float(np.nanmin(field[nonconv]))):
-        # non-converged points carry theta = a_max; above that they would be
-        # counted as exceeding without evidence
-        warnings.warn("t_grid exceeds a_max; non-converged points dominate those entries",
-                      stacklevel=2)
-    measures = np.empty(len(t_grid))
-    for i, t in enumerate(t_grid):
-        hit = region & (exceed_all | (np.nan_to_num(field, nan=-np.inf) > t))
-        measures[i] = hit.sum() * g.cell_measure
+    field = np.where(region, theta.theta, -np.inf)
+    measures = np.array([(field > t).sum() * g.cell_measure for t in t_grid])
 
     pos = measures > 0
     if pos.sum() >= 3:

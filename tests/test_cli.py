@@ -181,6 +181,26 @@ def test_t0_requires_ratio_or_beta(capsys):
     assert "ratio" in err and "beta" in err
 
 
+def test_t0_refuses_both_ratio_and_beta(capsys):
+    code, out, err = run_cli(capsys, "t0", "--n", "3", "--ratio", "5", "--beta", "2")
+    assert code == 2
+    assert out == ""
+    assert "--ratio" in err and "--beta" in err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["sweep", "--n-range", ",", "--ratios", "2"], "n_range"),
+    (["sweep", "--n-range", "3", "--ratios", ",,"], "ratios"),
+    (["lambertw", "--branch", "0", "--z", ","], "z"),
+    (["counterexample", "--n", "3", "--ratio", "2", "--eps", "0.7", "--mrange", ","], "mrange"),
+], ids=["n_range", "ratios", "z", "mrange"])
+def test_empty_list_is_usage_error(capsys, argv, name):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"{name} " in err and "empty" in err
+
+
 def test_counterexample_scan_rows(capsys):
     code, out, _ = run_cli(capsys, "counterexample", "--n", "3", "--ratio", "2",
                            "--eps", "0.7", "--mrange", "3:10", "--reproducible")
@@ -327,6 +347,47 @@ def test_config_precedence(tmp_path, capsys, config, argv, ks):
     assert code == 0
     _, rows = parse_csv(out)
     assert [int(r["k"]) for r in rows] == ks
+
+
+def test_config_supplies_required_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 3, "ratio": 2}))
+    code, from_config, _ = run_cli(capsys, "bounds", "--config", str(cfg), "--reproducible")
+    assert code == 0
+    code, from_flags, _ = run_cli(capsys, "bounds", "--n", "3", "--ratio", "2",
+                                  "--reproducible")
+    assert code == 0 and from_config == from_flags
+    # a flag given in argv still wins over the config
+    code, out, _ = run_cli(capsys, "bounds", "--config", str(cfg), "--n", "4", "--reproducible")
+    assert code == 0 and parse_csv(out)[1][0]["n"] == "4"
+
+
+def test_required_flag_missing_from_flags_and_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 3}))
+    with pytest.raises(SystemExit) as info:
+        main(["bounds", "--config", str(cfg)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--ratio" in err and "--n" not in err.splitlines()[-1]
+
+
+def test_config_carries_an_argument_list_too_long_for_a_flag(tmp_path, capsys):
+    # 10,000 arguments of W0 are over 128 KiB, more than one command-line
+    # argument may hold on Linux; from a config file they run in a fresh process
+    zs = ",".join(repr(float(z)) for z in np.linspace(-0.3, 1e4, 10_000))
+    assert len(zs) > 128 * 1024
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"branch": 0, "z": zs}))
+    out = tmp_path / "w0.csv"
+    proc = run_child("-m", "hessint.cli", "lambertw", "--config", str(cfg),
+                     "--reproducible", "--output", str(out))
+    assert proc.returncode == 0, proc.stderr
+    rows = parse_csv(out.read_text())[1]
+    assert len(rows) == 10_000
+    code, in_process, _ = run_cli(capsys, "lambertw", "--branch", "0", "--z=" + zs,
+                                  "--reproducible")
+    assert code == 0 and out.read_text() == in_process
 
 
 def test_config_rejects_unknown_k_rule(tmp_path, capsys):

@@ -585,12 +585,14 @@ def test_theta_paraboloid_recovers_opening():
 
 
 def test_theta_nonconvergence_is_data():
+    # Theta above a_max is reported as it is: a_max only sets converged
     a0 = 8.0
     g = h.grid_from_callable(lambda p: -(a0 / 2.0) * (p ** 2).sum(axis=1), 2, 17,
                              domain_radius=1.0)
     tf = h.theta_field(g, a_max=2.0)
     assert not tf.converged[tf.interior].any()
-    assert (tf.theta[tf.interior] == 2.0).all()
+    assert (tf.theta[tf.interior] == tf.bracket_hi[tf.interior]).all()
+    assert np.abs(tf.theta[tf.interior] - a0).max() <= 1e-12 * a0  # the flat lift's fit
 
 
 def test_theta_monotone_in_data():
@@ -620,19 +622,35 @@ def bump33():
     return h.capped_bump(h.RadialProfile(3, 1.0, 0.35, 1.0, 2.0), 33)
 
 
+@pytest.fixture(scope="module")
+def lattice65():
+    # build_v at 65^2, m = 3 (alpha = 3, R = 1/8): "Q0" raises on its Theta
+    # lift, and 45 samples have Theta above 600
+    return h.build_v(h.RadialProfile(3, 3.0, 0.125, 1.0, 2.0),
+                     h.grid_from_callable(lambda p: np.zeros(len(p)), 2, 65))
+
+
+@pytest.fixture(scope="module")
+def lattice65_theta(lattice65):
+    # about 0.3 s
+    return h.theta_field(lattice65, a_max=600.0)
+
+
 def _assert_matches_lp(tf, sample):
-    # sample indexes the samples inside the ball; both certified ends agree with HiGHS
+    # sample indexes the samples inside the ball; both certified ends agree
+    # with HiGHS, and theta is the upper end
     g = tf.grid
     inside = g.inside_mask().ravel()
     pts, vals = g.points()[inside], g.values.ravel()[inside]
     lo, hi = tf.bracket_lo.ravel()[inside], tf.bracket_hi.ravel()[inside]
+    assert np.array_equal(tf.theta.ravel()[inside], hi)
     for i in sample:
         want = theta_lp(pts, vals, int(i))
         tol = 1e-9 * max(1.0, want)
         assert abs(hi[i] - want) <= tol and abs(lo[i] - want) <= tol, (i, lo[i], hi[i], want)
 
 
-def test_theta_matches_lp_oracle(bump33):
+def test_theta_matches_lp_oracle(bump33, lattice65_theta):
     shifted = h.capped_bump(h.RadialProfile(3, 1.0, 0.35, 1.0, 2.0), 65,
                             centre=(1.0 / 64.0, -1.0 / 64.0))
     tf = h.theta_field(shifted, a_max=600.0)
@@ -653,6 +671,38 @@ def test_theta_matches_lp_oracle(bump33):
     for g in (ridge_1d(81), ridge_2d(), concave):
         tf = h.theta_field(g, a_max=6.0)
         _assert_matches_lp(tf, range(int(g.inside_mask().sum())))
+
+    # every sample above a_max, each reported at its own Theta
+    tf = lattice65_theta
+    above = np.nonzero(tf.theta[tf.grid.inside_mask()] > 600.0)[0]
+    assert len(above) == 45
+    _assert_matches_lp(tf, above)
+
+
+def test_theta_is_symmetric_with_its_grid(lattice65_theta):
+    # the lattice is symmetric under the grid's reflections and transpose, and
+    # so is Theta, above a_max too, on a lift where "Q0" raises
+    tf = lattice65_theta
+    assert (tf.stats["hull_calls"], tf.stats["q0_raised"]) == (2, 1)
+    theta, inside = tf.theta, tf.grid.inside_mask()
+    assert theta[inside].max() > 600.0
+    for image in (theta[::-1, :], theta[:, ::-1], theta.T):
+        assert np.array_equal(np.isnan(image), ~inside)
+        assert np.abs(image[inside] - theta[inside]).max() <= 1e-12 * theta[inside].max()
+
+
+def test_theta_does_not_grow_on_a_subgrid(lattice65, lattice65_theta):
+    # Theta at a sample is the least opening of a paraboloid below all the
+    # samples that touches there; on every other sample (33^2, spacing 2h)
+    # fewer samples constrain it, so it is never larger
+    g = lattice65
+    sub = replace(g, shape=(33, 33), spacing=2.0 * g.spacing, values=g.values[::2, ::2])
+    coarse = h.theta_field(sub, a_max=600.0)
+    fine = lattice65_theta.theta[::2, ::2]
+    inside = sub.inside_mask()
+    assert np.array_equal(inside, ~np.isnan(fine))
+    assert fine[inside].max() > 600.0
+    assert (coarse.theta[inside] <= fine[inside]).all()
 
 
 def test_theta_matches_lp_oracle_in_3d():
@@ -784,15 +834,16 @@ def test_tail_empty_region():
     assert np.isnan(td.fitted_exponent)
 
 
-def test_tail_warns_only_when_nonconverged_dominate():
+def test_tail_past_a_max_is_exact_and_silent():
+    # Theta is exact above a_max too, so the tail does not depend on a_max
     g = h.grid_from_callable(lambda p: -1.0 * (p ** 2).sum(axis=1), 2, 17, domain_radius=1.0)
-    full = h.theta_field(g, a_max=16.0)
+    t_grid = np.array([0.5, 1.5, 1.99, 2.01, 32.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        h.tail_distribution(full, 0.5, np.array([1.0, 32.0]))  # converged: silent
-    starved = h.theta_field(g, a_max=1.0)
-    with pytest.warns(UserWarning):
-        h.tail_distribution(starved, 0.5, np.array([0.5, 1.5]))
+        full = h.tail_distribution(h.theta_field(g, a_max=16.0), 0.5, t_grid)
+        starved = h.tail_distribution(h.theta_field(g, a_max=1.0), 0.5, t_grid)
+    assert np.array_equal(starved.measures, full.measures)
+    assert full.measures[2] > 0.0 and full.measures[3] == 0.0
 
 
 def test_tail_t_grid_validation():

@@ -187,6 +187,11 @@ def test_closed_form_lower_warns_at_n2():
         h.closed_form_lower(h.Ellipticity(2, 2.0, 1))
 
 
+def test_refined_lower_below_n3_is_domain_error():
+    with pytest.raises(h.DomainError, match="n >= 3"):
+        h.refined_lower(h.Ellipticity(2, 2.0, 1))
+
+
 def test_refined_and_abstract_frozen():
     assert abs(h.refined_lower(E321) - 0.08889054947527708) <= 1e-15
     assert abs(h.abstract_lower(3, 2.0) - 0.10113769184742637) <= 1e-15
