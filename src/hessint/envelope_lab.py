@@ -21,7 +21,9 @@ globally and is attained on its facet). One hull of (x, v, |x|^2/2) in
 R^(d+2) gives Theta exactly, read off its facet normals and certified by LP
 duality (see theta_field). An iterated direction-sweep scheme was considered
 and rejected: it converges to the separately-convex envelope, which on
-generic 2-D data sits order-one above the true envelope.
+generic 2-D data sits order-one above the true envelope. Decay's
+neighbourhood hulls take only the "Q0" step of _lifted_hull; an opening they
+leave undecided gets the full contact hull.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -42,13 +43,19 @@ from .exponent_bounds import Ellipticity, c_star
 _VERTICAL_TOL = 1e-12
 _AFFINE_RTOL = 1e-9
 _CERT_RTOL = 1e-12
-# samples per block of the primal certificate check: a few dozen rows keep
+# rows per block of the certificate checks (_least_slack): a few dozen rows keep
 # each block a BLAS matrix product (1-row blocks at 257^2 were 4x slower)
 _CERT_ROWS = 32
 # least eigenvalue of sum n n^T (unit facet normals at a vertex) that shows the
 # vertex is an extreme point; inside a flat face it is zero up to rounding
 _VERTEX_MARGIN = 1e-12
 _LIFT_RESOLUTION = 4096  # K of the contact opening limit, see _require_resolved
+# decay decides the samples out of contact at the last opening from the hull of
+# the samples within _NEAR_CELLS cells of them, unless those are over
+# _NEAR_SHARE of all: past half, that hull and its checks cost about as much as
+# the full hull (9 grids in 2-D and 3-D at openings 1.5^j)
+_NEAR_CELLS = 2
+_NEAR_SHARE = 0.5
 
 
 @dataclass
@@ -281,7 +288,9 @@ class DecayReport:
     """Non-contact measures along geometric openings vs the guaranteed ratio.
 
     stats sums the hull engine's counters (as in EnvelopeResult) over the
-    openings.
+    hulls built: the first opening's, each neighbourhood's and each opening's
+    full hull where one decided; undecided counts the samples sent to a full
+    hull after the first opening (see decay_experiment).
     """
 
     delta: float
@@ -327,17 +336,27 @@ def _lifted_hull(cloud: np.ndarray, d: int):
     hull_points (raised builds included) and q0_raised (flat lifts included).
     """
     n = len(cloud)
-    stats = dict(hull_calls=1, hull_points=n, q0_raised=0)
-    try:
-        return ConvexHull(cloud, qhull_options="Q0"), None, stats
-    except _qhull_error():
-        stats["q0_raised"] = 1
+    stats = dict(hull_calls=0, hull_points=0, q0_raised=0)
+    hull = _q0_hull(cloud, stats)
+    if hull is not None:
+        return hull, None, stats
     A, y = np.column_stack([np.delete(cloud, d, axis=1), np.ones(n)]), cloud[:, d]
     coef = np.linalg.lstsq(A, y, rcond=None)[0]
     # the least-squares fit must reproduce y; a NaN residual (non-finite data) is not flat
     if np.abs(A @ coef - y).max() <= _AFFINE_RTOL * max(1.0, float(np.abs(y).max())):
         return None, coef, stats
     return _merged_hull(cloud, stats), None, stats
+
+
+def _q0_hull(cloud: np.ndarray, stats: dict):
+    """The "Q0" hull, or None where qhull raises; counted into stats."""
+    stats["hull_calls"] += 1
+    stats["hull_points"] += len(cloud)
+    try:
+        return ConvexHull(cloud, qhull_options="Q0")
+    except _qhull_error():
+        stats["q0_raised"] += 1
+        return None
 
 
 def _merged_hull(cloud: np.ndarray, stats: dict):
@@ -419,6 +438,80 @@ def _extreme_at(hull, verts: np.ndarray) -> bool:
         weights = np.repeat(normals[:, j] * normals[:, k], D)
         G[:, j, k] = G[:, k, j] = np.bincount(owner, weights)[verts]
     return bool((np.linalg.eigvalsh(G)[:, 0] > _VERTEX_MARGIN).all())
+
+
+def _least_slack(K: np.ndarray, cols: np.ndarray, skip: np.ndarray | None = None) -> np.ndarray:
+    """Per row of K, the least entry of K @ cols, in _CERT_ROWS row blocks.
+
+    Row i leaves out column skip[i] when skip is given.
+    """
+    worst = np.empty(len(K))
+    for s in range(0, len(K), _CERT_ROWS):
+        block = K[s:s + _CERT_ROWS] @ cols
+        if skip is not None:
+            block[np.arange(len(block)), skip[s:s + _CERT_ROWS]] = np.inf
+        worst[s:s + _CERT_ROWS] = block.min(axis=1)
+    return worst
+
+
+def _dilated(shape: tuple, at: np.ndarray, cells: int) -> np.ndarray:
+    """Grid mask of the cells within `cells` steps along every axis of the flat indices at."""
+    grid = np.zeros(shape, dtype=bool)
+    grid.reshape(-1)[at] = True
+    for axis in range(len(shape)):
+        out = grid.copy()
+        for s in range(1, cells + 1):
+            up, down = [slice(None)] * len(shape), [slice(None)] * len(shape)
+            up[axis], down[axis] = slice(s, None), slice(None, -s)
+            out[tuple(up)] |= grid[tuple(down)]
+            out[tuple(down)] |= grid[tuple(up)]
+        grid = out
+    return grid
+
+
+def _neighbourhood_contact(points: np.ndarray, lifted: np.ndarray, cand: np.ndarray,
+                           near: np.ndarray, stats: dict):
+    """Contact of the samples cand, decided by the "Q0" hull of the samples near, or None.
+
+    near holds cand. A candidate is out of contact when it is no lower vertex
+    of near's hull and lies strictly inside every lower facet (more samples
+    only lower the envelope); it is in contact when it is one and the plane
+    with the sum of its lower facets' normals leaves every other sample of
+    all n strictly above it. Each margin is _CERT_RTOL times the slack's
+    scale. None when "Q0" raises or any candidate is left undecided, counted
+    in stats["undecided"] (all of them where "Q0" raises).
+    """
+    d = points.shape[1]
+    cloud = np.column_stack([points, lifted])
+    idx = np.flatnonzero(near)
+    hull = _q0_hull(cloud[idx], stats)
+    if hull is None:
+        stats["undecided"] += len(cand)
+        return None
+    lower = hull.equations[:, d] < -_VERTICAL_TOL
+    E, simplices = hull.equations[lower], hull.simplices[lower]
+    stats["lower_facets"] += len(E)
+    local = np.searchsorted(idx, cand)
+    vertex = np.zeros(len(idx), dtype=bool)
+    vertex[simplices] = True
+    vertex = vertex[local]
+
+    # out of contact: -(n . p + offset) > 0 for every lower facet (unit n)
+    K = -np.column_stack([cloud[cand[~vertex]], np.ones((~vertex).sum())])
+    below = _least_slack(K, E.T) > _CERT_RTOL * (np.abs(K) @ np.abs(E).max(axis=0))
+
+    # in contact: N . (p_i - p_k) > 0 for every k != i, N the summed lower normals
+    owner = simplices.ravel()
+    N = np.column_stack([np.bincount(owner, np.repeat(E[:, c], d + 1), len(idx))[local[vertex]]
+                         for c in range(d + 1)])
+    at = cand[vertex]
+    K = np.column_stack([-N, (N * cloud[at]).sum(axis=1)])
+    cols = np.vstack([cloud.T, np.ones(len(cloud))])
+    above = _least_slack(K, cols, skip=at) > _CERT_RTOL * (np.abs(K) @ np.abs(cols).max(axis=1))
+
+    undecided = int((~below).sum() + (~above).sum())
+    stats["undecided"] += undecided
+    return None if undecided else vertex
 
 
 def _require_resolved(a: float, points: np.ndarray, spacing: float, context: str = "") -> None:
@@ -566,9 +659,7 @@ def _certified_theta(hull, cloud: np.ndarray, d: int, corners: np.ndarray):
     K = np.column_stack([np.ones(len(r)), a, -m, const])
     feats = np.column_stack([values, q, points, np.ones(n)])
     scale = np.abs(K) @ np.abs(feats).max(axis=0) + np.abs(p).sum(axis=1) * np.abs(points).max()
-    worst = np.empty(len(r))
-    for s in range(0, len(r), _CERT_ROWS):
-        worst[s:s + _CERT_ROWS] = (K[s:s + _CERT_ROWS] @ feats.T).min(axis=1)
+    worst = _least_slack(K, feats.T)
     hi[touched] = a
 
     # dual: on each facet tying the minimum, weights lam on its other d+1
@@ -633,6 +724,46 @@ def tail_distribution(theta: ThetaField, restrict_radius: float,
     return TailDistribution(thresholds=t_grid, measures=measures, fitted_exponent=float(slope))
 
 
+def _decay_masks(shape: tuple, inside: np.ndarray, points: np.ndarray, values: np.ndarray,
+                 openings: np.ndarray, stats: dict):
+    """The contact mask at each opening in turn, as _contact's, counted into stats.
+
+    Contact only grows with the opening: a plane strictly supporting the lift
+    at a sample, plus ((a'-a)/2)(|x|^2 - |x - x_i|^2), which is affine,
+    strictly supports it at every a' > a. So after the first opening's full
+    hull only the samples out of contact are decided, by the hull of those
+    within _NEAR_CELLS grid cells of them (_neighbourhood_contact). Where that
+    neighbourhood holds over _NEAR_SHARE of the samples, or leaves any of them
+    undecided, the opening's full _contact decides.
+    """
+    def full(a):
+        _, mask, hull_stats = _contact(points, values, a, need_values=False)
+        for k, c in hull_stats.items():
+            stats[k] += c
+        return mask
+
+    at_grid = np.flatnonzero(inside)
+    shift = 0.5 * (points ** 2).sum(axis=1)
+    on_hull = None
+    for a in openings.tolist():
+        if on_hull is None:
+            on_hull = full(a)
+        elif not on_hull.all():
+            cand = np.flatnonzero(~on_hull)
+            near = _dilated(shape, at_grid[cand], _NEAR_CELLS).reshape(-1)[inside]
+            touched = None
+            if near.sum() > _NEAR_SHARE * len(points):
+                stats["undecided"] += len(cand)
+            else:
+                touched = _neighbourhood_contact(points, values + a * shift, cand, near, stats)
+            if touched is None:
+                on_hull = full(a)
+            else:
+                on_hull = on_hull.copy()    # the mask yielded last stays as it was
+                on_hull[cand[touched]] = True
+        yield on_hull
+
+
 def decay_experiment(v: GridFunction, delta: float, levels: int,
                      e: Ellipticity) -> DecayReport:
     """Non-contact measure along openings (1+delta)^j, j = 0..levels.
@@ -641,11 +772,11 @@ def decay_experiment(v: GridFunction, delta: float, levels: int,
     opening (1+delta)^j (the module's hull-vertex test); the least-squares
     geometric decay factor of the nonzero counts is compared with the
     guaranteed 1 - c*(1+1/delta)^-n.
-    The openings are independent and qhull releases the GIL, so two worker
-    threads build their contact hulls, two at a time: never more, as each
-    hull in flight holds its own qhull working memory (about 9.5 MB for a
-    12,853-point hull). Counts and stats are gathered in opening order, the
-    same as one after another; an opening's exception is raised as it is.
+    Contact only grows with the opening, so one full hull decides the first
+    opening and, after it, the hull of the samples near those still out of
+    contact decides them, each decision certified in numpy (_decay_masks);
+    an opening it leaves undecided gets its full hull. Every mask is the full
+    hull's at that opening. An exception of any hull is raised as it is.
     Raises DegenerateData (carrying the partial report) when fewer than 3
     counts are nonzero, and DomainError if the last opening is too large.
     """
@@ -656,16 +787,10 @@ def decay_experiment(v: GridFunction, delta: float, levels: int,
     pts, _, inside = v._coords()
     pts = pts[inside] - v.center  # lifted about the centre, as in a_convex_envelope
     _require_resolved(openings[-1], pts, v.spacing, f" (delta={delta:g}, levels={levels})")
-    base = v.values.ravel()[inside]
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        found = list(pool.map(lambda a: _contact(pts, base, float(a), need_values=False),
-                              openings))
-    counts = np.empty(levels + 1)
-    stats: dict = {}
-    for j, (_, on_hull, hull_stats) in enumerate(found):
-        counts[j] = (~on_hull).sum() * v.cell_measure
-        for k, c in hull_stats.items():
-            stats[k] = stats.get(k, 0) + c
+    stats = dict(hull_calls=0, hull_points=0, q0_raised=0, q0_rejected=0, lower_facets=0,
+                 undecided=0)
+    masks = _decay_masks(v.shape, inside, pts, v.values.ravel()[inside], openings, stats)
+    counts = np.array([(~on_hull).sum() * v.cell_measure for on_hull in masks])
 
     theoretical = 1.0 - c_star(e) * (1.0 + 1.0 / delta) ** (-e.n)
     nz = counts > 0

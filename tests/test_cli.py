@@ -302,12 +302,14 @@ def test_decay_normal_run(tmp_path, capsys):
     assert err == ""
     comments, rows = parse_csv(out)
     assert float(comments["theoretical_ratio"]) == 0.875
-    # 7 "Q0" hulls; at opening 16 the lift is flat, so "Q0" raises and no
-    # rebuild follows
+    # the 777 samples out of contact up to 16 have the whole grid as their
+    # neighbourhood, so openings 1 to 32 build full hulls (undecided counts
+    # the 777 at each of 2 to 32); at 16 the lift is flat, so "Q0" raises and
+    # no rebuild follows; at 64 every sample is in contact and none is built
     decay = {k: int(v) for k, v in comments.items() if k.startswith("decay_")}
     assert decay.pop("decay_lower_facets") > 0
-    assert decay == dict(decay_hull_calls=7, decay_hull_points=7 * int(g.inside_mask().sum()),
-                         decay_q0_raised=1, decay_q0_rejected=0)
+    assert decay == dict(decay_hull_calls=6, decay_hull_points=6 * int(g.inside_mask().sum()),
+                         decay_q0_raised=1, decay_q0_rejected=0, decay_undecided=5 * 777)
     counts = [float(r["count_measure"]) for r in rows]
     assert all(b <= a + 1e-12 for a, b in zip(counts, counts[1:]))
 
@@ -453,8 +455,7 @@ SCALAR_COMMANDS = ("bounds", "sweep", "lambertw", "t0")
     ["counterexample", "--n", "3", "--ratio", "2", "--eps", "0.7", "--mrange", "3:6"],
 ], ids=["decay", "theta", "sweep", "bounds", "lambertw", "t0", "counterexample"])
 def test_cold_cli_writes_what_the_warm_one_does(tmp_path, capsys, argv):
-    # in a fresh interpreter the first hull imports scipy.spatial; decay builds
-    # it on its two worker threads, so both import it at once. The sweep's
+    # in a fresh interpreter the first hull imports scipy.spatial. The sweep's
     # per-n caches outlive a call, so the second warm sweep starts on a hit.
     # The child prints the numpy and scipy modules loaded when main returns
     if argv[0] in ("decay", "theta"):

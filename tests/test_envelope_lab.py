@@ -944,88 +944,132 @@ def _decay_or_partial(g, levels):
         return exc.report
 
 
-def test_decay_two_at_a_time_equals_serial(monkeypatch):
-    # the openings are built on two threads; the counts, every opening's mask
-    # and the summed counters equal one _contact call per opening, at critical
-    # openings too (the README plateau's 16 refuses its "Q0" hull)
-    contact, masks = lab._contact, {}
+def _masks_and_full(monkeypatch, g, openings, stats):
+    # decay's mask at each opening, the openings at which it built a full
+    # _contact hull, and one full _contact per opening
+    contact, full = lab._contact, []
 
     def recorded(points, values, a, need_values):
-        out = contact(points, values, a, need_values)
-        masks[a] = out[1]
-        return out
-    monkeypatch.setattr(lab, "_contact", recorded)
-    serial_stats = []
-    for g, *_ in _hull_corpus():
-        pts, _, inside = g._coords()
-        serial_masks, counts, stats = {}, [], {}
-        for a in 2.0 ** np.arange(8):
-            _, on_hull, hull_stats = contact(pts[inside], g.values.ravel()[inside], a, False)
-            serial_masks[a] = on_hull
-            counts.append((~on_hull).sum() * g.cell_measure)
-            for k, c in hull_stats.items():
-                stats[k] = stats.get(k, 0) + c
-        masks.clear()
-        paired = _decay_or_partial(g, 7)
-        assert np.array_equal(paired.counts, counts), g.shape
-        assert paired.stats == stats and list(paired.stats) == list(stats)
-        assert masks.keys() == serial_masks.keys()
-        assert all(np.array_equal(masks[a], serial_masks[a]) for a in serial_masks)
-        serial_stats.append(stats)
-    plateau = serial_stats[1]
-    assert (plateau["hull_calls"], plateau["q0_rejected"]) == (9, 1)
+        full.append(a)
+        return contact(points, values, a, need_values)
+    pts, _, inside = g._coords()
+    pts, vals = pts[inside] - g.center, g.values.ravel()[inside]
+    with monkeypatch.context() as patch:
+        patch.setattr(lab, "_contact", recorded)
+        masks = list(lab._decay_masks(g.shape, inside, pts, vals, openings, stats))
+    return masks, full, [contact(pts, vals, a, False)[1] for a in openings]
 
 
-def test_decay_builds_on_two_threads_at_most(monkeypatch):
-    # the first two builds wait for each other, so a serial decay times out
-    # here; no more than two builds are ever in flight
-    lock, both = threading.Lock(), threading.Barrier(2, timeout=10)
-    seen, calls, active, most = set(), [0], [0], [0]
+def _decay_stats():
+    return dict(hull_calls=0, hull_points=0, q0_raised=0, q0_rejected=0, lower_facets=0,
+                undecided=0)
+
+
+def test_decay_masks_equal_one_full_hull_per_opening(monkeypatch):
+    # after the first opening only the samples out of contact are decided, from
+    # their neighbourhood's hull; every opening's mask and count still equal
+    # one full _contact, at the critical openings too (the paraboloid lifts
+    # flat at 4, the plateau and the lattice have flat faces at 16 and 2)
+    h_bump = 2.0 / 128
+    bump = h.capped_bump(h.RadialProfile(3, 1.0, 0.35, 1.0, 2.0), 129,
+                         centre=(h_bump / 2, -h_bump / 2))
+    openings, fallbacks = 2.0 ** np.arange(8), []
+    for g in [g for g, *_ in _hull_corpus()] + [bump]:
+        stats = _decay_stats()
+        masks, full, want = _masks_and_full(monkeypatch, g, openings, stats)
+        assert all(np.array_equal(m, w) for m, w in zip(masks, want)), g.shape
+        counts = [(~w).sum() * g.cell_measure for w in want]
+        assert np.array_equal(_decay_or_partial(g, 7).counts, counts), g.shape
+        fallbacks.append((full[1:], stats))
+    # the README plateau falls back at its flat face only, where its 385 inner
+    # samples tie and the full hull's vertex check refuses "Q0"; on the
+    # shifted bump every opening after the first is decided by its neighbourhood
+    plateau, bump = fallbacks[1], fallbacks[-1]
+    assert plateau[0] == [16.0] and (plateau[1]["hull_calls"], plateau[1]["q0_rejected"],
+                                     plateau[1]["undecided"]) == (8, 1, 385)
+    assert bump[0] == [] and (bump[1]["hull_calls"], bump[1]["undecided"]) == (8, 0)
+
+
+def test_decay_certifies_contact_against_every_sample(monkeypatch):
+    # the README plateau with the ring sample k = (0.375, 0) sunk by 0.3: at
+    # 32 its core neighbour m = (0.34375, 0) lies above the chord to k, so it
+    # is out of contact. With k taken out of the neighbourhood, m is a lower
+    # vertex of that hull, and only the check against all samples, k among
+    # them, refuses the plane the hull proposes at m: the opening falls back
+    g = h.grid_from_callable(lambda p: np.maximum(-8.0 * (p ** 2).sum(axis=1), -1.0), 2, 65)
+    k, m = np.ravel_multi_index((44, 32), g.shape), np.ravel_multi_index((43, 32), g.shape)
+    g.values.reshape(-1)[k] -= 0.3
+    openings = 2.0 ** np.arange(6)
+    assert _masks_and_full(monkeypatch, g, openings, _decay_stats())[1] == [1.0, 2.0, 16.0]
+    dilated = lab._dilated
+
+    def without_k(shape, at, cells):
+        grid = dilated(shape, at, cells)
+        grid.reshape(-1)[k] = False
+        return grid
+    monkeypatch.setattr(lab, "_dilated", without_k)
+    masks, full, want = _masks_and_full(monkeypatch, g, openings, _decay_stats())
+    assert full == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
+    assert all(np.array_equal(mask, w) for mask, w in zip(masks, want))
+    inside = g.inside_mask().reshape(-1)
+    at = np.cumsum(inside) - 1      # sample index of each inside grid cell
+    assert not masks[-1][at[m]]
+    # the hull of the neighbourhood without k has m as a lower vertex at 32
+    pts = g.points()[inside]
+    lifted = g.values.reshape(-1)[inside] + 16.0 * (pts ** 2).sum(axis=1)
+    near = without_k(g.shape, np.flatnonzero(inside)[~masks[-2]], 2).reshape(-1)[inside]
+    hull = ConvexHull(np.column_stack([pts, lifted])[near], qhull_options="Q0")
+    lower = hull.simplices[hull.equations[:, 2] < 0]
+    assert np.flatnonzero(near).searchsorted(at[m]) in lower
+
+
+def test_dilated_marks_the_cells_two_steps_away_along_every_axis():
+    rng = np.random.default_rng(7)
+    for shape in ((9,), (7, 8), (5, 6, 7)):
+        at = rng.choice(np.prod(shape), 3, replace=False)
+        cells = np.indices(shape).reshape(len(shape), -1).T
+        steps = np.abs(cells[:, None, :] - cells[at][None, :, :]).max(axis=2).min(axis=1)
+        assert np.array_equal(lab._dilated(shape, at, 2).reshape(-1), steps <= 2), shape
+
+
+def test_decay_builds_on_the_calling_thread(monkeypatch):
+    # one thread builds every hull, the first opening's and the neighbourhoods'
+    seen = []
 
     def hull(*args, **kwargs):
-        with lock:
-            seen.add(threading.get_ident())
-            calls[0] += 1
-            active[0] += 1
-            most[0] = max(most[0], active[0])
-            first_two = calls[0] <= 2
-        try:
-            if first_two:
-                both.wait()
-            return ConvexHull(*args, **kwargs)
-        finally:
-            with lock:
-                active[0] -= 1
+        seen.append(threading.get_ident())
+        return ConvexHull(*args, **kwargs)
     monkeypatch.setattr(lab, "ConvexHull", hull)
     _decay_or_partial(ridge_2d(), 5)
-    assert len(seen) == 2 and threading.get_ident() not in seen
-    assert most[0] == 2 and calls[0] >= 6
+    assert len(seen) >= 2 and set(seen) == {threading.get_ident()}
 
 
-def test_decay_worker_error_is_raised_as_it_is(monkeypatch):
-    contact, error, built = lab._contact, h.GeometryError("forced at opening 4"), []
+def test_decay_fallback_error_is_raised_as_it_is(monkeypatch):
+    # the plateau's flat face at 16 leaves samples undecided; the full hull
+    # built for it raises, and decay raises that very object
+    contact, error, built = lab._contact, h.GeometryError("forced at opening 16"), []
 
     def failing(points, values, a, need_values):
-        if a == 4.0:
+        if a == 16.0:
             raise error
         built.append(a)
         return contact(points, values, a, need_values)
     monkeypatch.setattr(lab, "_contact", failing)
+    g = h.grid_from_callable(lambda p: np.maximum(-8.0 * (p ** 2).sum(axis=1), -1.0), 2, 65)
     with pytest.raises(h.GeometryError) as info:
-        h.decay_experiment(ridge_2d(), 1.0, 5, h.Ellipticity(3, 2.0, 1))
-    assert info.value is error and {1.0, 2.0} <= set(built)
+        h.decay_experiment(g, 1.0, 5, h.Ellipticity(3, 2.0, 1))
+    assert info.value is error and built == [1.0]
 
 
 def test_decay_partial_report_sums_the_counters():
+    # convex data is in contact everywhere at the first opening, so decay
+    # builds that one hull and decides nothing after it
     g = h.grid_from_callable(lambda p: (p ** 2).sum(axis=1), 2, 33, domain_radius=1.0)
     pts, _, inside = g._coords()
-    want = {}
-    for a in 2.0 ** np.arange(6):
-        for k, c in lab._contact(pts[inside], g.values.ravel()[inside], a, False)[2].items():
-            want[k] = want.get(k, 0) + c
+    want = lab._contact(pts[inside], g.values.ravel()[inside], 1.0, False)[2] | {"undecided": 0}
     with pytest.raises(h.DegenerateData) as exc:
         h.decay_experiment(g, 1.0, 5, h.Ellipticity(2, 2.0, 1))
-    assert exc.value.report.stats == want and want["hull_calls"] == 6
+    assert exc.value.report.stats == want and want["hull_calls"] == 1
 
 
 def test_extreme_at_margin():
