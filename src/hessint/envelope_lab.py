@@ -17,13 +17,18 @@ with one qhull policy and one counter set. The lower hull of
 (x, v + (a/2)|x|^2) in R^(d+1), d = 1, 2, 3, gives the contact mask and the
 exact a-convex envelope: at every sample, the maximum over the supporting
 planes of the downward-facing facets (each minorizes the hull function
-globally and is attained on its facet). One hull of (x, v, |x|^2/2) in
+globally and is attained on its facet). A hull of (x, v, |x|^2/2) in
 R^(d+2) gives Theta exactly, read off its facet normals and certified by LP
 duality (see theta_field). An iterated direction-sweep scheme was considered
 and rejected: it converges to the separately-convex envelope, which on
-generic 2-D data sits order-one above the true envelope. Decay's
-neighbourhood hulls take only the "Q0" step of _lifted_hull; an opening they
-leave undecided gets the full contact hull.
+generic 2-D data sits order-one above the true envelope.
+
+The samples at the grid's minimum (the floor) are in contact at every
+opening a > 0, so they need no hull: Theta and decay hull only the samples
+within _NEAR_CELLS cells of the rest, and check what that hull proposes
+against every sample. The full hull decides only where that neighbourhood
+holds over _NEAR_SHARE of the samples or leaves any undecided. Decay's
+neighbourhood hulls take only the "Q0" step of _lifted_hull, Theta's all of it.
 """
 
 from __future__ import annotations
@@ -43,17 +48,20 @@ from .exponent_bounds import Ellipticity, c_star
 _VERTICAL_TOL = 1e-12
 _AFFINE_RTOL = 1e-9
 _CERT_RTOL = 1e-12
-# rows per block of the certificate checks (_least_slack): a few dozen rows keep
-# each block a BLAS matrix product (1-row blocks at 257^2 were 4x slower)
-_CERT_ROWS = 32
+# rows per block of the certificate checks (_least_slack): a few rows keep each
+# block a BLAS matrix product (1-row blocks at 257^2 were 4x slower) and, at
+# 8 x 12,853 columns (0.8 MB), in cache; Theta's and decay's checks on the
+# 129^2 bump took 19-21 and 22-25 ms in 8-row blocks, 29 and 26-31 ms in 32
+_CERT_ROWS = 8
 # least eigenvalue of sum n n^T (unit facet normals at a vertex) that shows the
 # vertex is an extreme point; inside a flat face it is zero up to rounding
 _VERTEX_MARGIN = 1e-12
 _LIFT_RESOLUTION = 4096  # K of the contact opening limit, see _require_resolved
-# decay decides the samples out of contact at the last opening from the hull of
-# the samples within _NEAR_CELLS cells of them, unless those are over
-# _NEAR_SHARE of all: past half, that hull and its checks cost about as much as
-# the full hull (9 grids in 2-D and 3-D at openings 1.5^j)
+# Theta and decay decide the samples off the floor (decay: out of contact at
+# the last opening) from the hull of the samples within _NEAR_CELLS cells of
+# them, unless those are over _NEAR_SHARE of all: past half, that hull and its
+# checks cost about as much as the full hull (9 grids in 2-D and 3-D at
+# openings 1.5^j)
 _NEAR_CELLS = 2
 _NEAR_SHARE = 0.5
 
@@ -252,8 +260,10 @@ class ThetaField:
     values are reported but carry extra discretization error.
 
     stats holds the counters of _lifted_hull (hull_calls, hull_points,
-    q0_raised), hull_facets and contact_facets (facets of the hull used, and
-    those with c_v > 0; 0 without a lifted hull) and certified (all samples).
+    q0_raised) summed over the neighbourhood's and the full hull's builds,
+    hull_facets and contact_facets (facets of the hull used, and those with
+    c_v > 0; 0 without a lifted hull), certified (all samples) and floor (the
+    samples at the minimum, decided without a hull).
     """
 
     theta: np.ndarray
@@ -288,9 +298,10 @@ class DecayReport:
     """Non-contact measures along geometric openings vs the guaranteed ratio.
 
     stats sums the hull engine's counters (as in EnvelopeResult) over the
-    hulls built: the first opening's, each neighbourhood's and each opening's
-    full hull where one decided; undecided counts the samples sent to a full
-    hull after the first opening (see decay_experiment).
+    hulls built: each neighbourhood's and each opening's full hull where one
+    decided; undecided counts the samples sent to a full hull, and floor the
+    samples at the minimum, in contact at every opening without a hull (see
+    decay_experiment).
     """
 
     delta: float
@@ -325,8 +336,8 @@ def _corners(points: np.ndarray) -> np.ndarray:
         raise GeometryError(f"the {n} samples inside the ball do not span R^{d}") from exc
 
 
-def _lifted_hull(cloud: np.ndarray, d: int):
-    """Hull of a lifted cloud: (hull, None, counters), or (None, affine fit, counters).
+def _lifted_hull(cloud: np.ndarray, d: int, stats: dict):
+    """Hull of a lifted cloud: (hull, None), or (None, affine fit), counted into stats.
 
     Built with "Q0" (no pre-merge; merging the coplanar lifts of cocircular
     cells costs 2.5 times on the bump's contact hull, 10-25 times on Theta's),
@@ -336,16 +347,15 @@ def _lifted_hull(cloud: np.ndarray, d: int):
     hull_points (raised builds included) and q0_raised (flat lifts included).
     """
     n = len(cloud)
-    stats = dict(hull_calls=0, hull_points=0, q0_raised=0)
     hull = _q0_hull(cloud, stats)
     if hull is not None:
-        return hull, None, stats
+        return hull, None
     A, y = np.column_stack([np.delete(cloud, d, axis=1), np.ones(n)]), cloud[:, d]
     coef = np.linalg.lstsq(A, y, rcond=None)[0]
     # the least-squares fit must reproduce y; a NaN residual (non-finite data) is not flat
     if np.abs(A @ coef - y).max() <= _AFFINE_RTOL * max(1.0, float(np.abs(y).max())):
-        return None, coef, stats
-    return _merged_hull(cloud, stats), None, stats
+        return None, coef
+    return _merged_hull(cloud, stats), None
 
 
 def _q0_hull(cloud: np.ndarray, stats: dict):
@@ -390,8 +400,8 @@ def _contact(points: np.ndarray, values: np.ndarray, a: float, need_values: bool
         mask[hull.simplices[lower]] = True
         return lower, mask
 
-    hull, _, stats = _lifted_hull(cloud, d)
-    stats["q0_rejected"] = 0
+    stats = dict(hull_calls=0, hull_points=0, q0_raised=0, q0_rejected=0)
+    hull, _ = _lifted_hull(cloud, d, stats)
     if hull is None:
         on_hull = np.zeros(n, dtype=bool)
         on_hull[_corners(points)] = True
@@ -467,6 +477,15 @@ def _dilated(shape: tuple, at: np.ndarray, cells: int) -> np.ndarray:
             out[tuple(down)] |= grid[tuple(up)]
         grid = out
     return grid
+
+
+def _near(shape: tuple, inside: np.ndarray, cand: np.ndarray):
+    """Mask of the samples within _NEAR_CELLS cells of the samples cand, or None past _NEAR_SHARE.
+
+    inside flags the samples on the grid; cand is a mask or indices over them.
+    """
+    near = _dilated(shape, np.flatnonzero(inside)[cand], _NEAR_CELLS).reshape(-1)[inside]
+    return None if near.sum() > _NEAR_SHARE * len(near) else near
 
 
 def _neighbourhood_contact(points: np.ndarray, lifted: np.ndarray, cand: np.ndarray,
@@ -559,7 +578,7 @@ def a_convex_envelope(v: GridFunction, a: float) -> EnvelopeResult:
 
 
 def theta_field(v: GridFunction, a_max: float, bisect_tol: float | None = None) -> ThetaField:
-    """Exact minimal contact opening per point, from one hull in R^(d+2).
+    """Exact minimal contact opening per point, from hulls in R^(d+2) checked against the data.
 
     Lift sample j to y_j = (x_j, v_j, q_j) with q = |x|^2/2. Sample i is in
     contact at opening a exactly when it strictly minimises v + a q - p.x over
@@ -568,16 +587,22 @@ def theta_field(v: GridFunction, a_max: float, bisect_tol: float | None = None) 
     c = (c_x, c_v, c_q) of the hull facets incident to i, so
     Theta_i = max(0, min c_q / c_v) over those facets with c_v > 0. Vertices
     of the x-hull have Theta = 0 exactly (a linear function exposes them at
-    every opening). A cloud whose lift is flat (v = affine + c q) has
-    Theta = max(0, -c) off those vertices.
+    every opening), and so do the samples at the grid's minimum, the floor:
+    v_j + (a/2)|x_j - x_i|^2 > v_i for every other j at every a > 0. A
+    cloud whose lift is flat (v = affine + c q) has Theta = max(0, -c) off
+    the x-hull vertices.
 
-    Both ends of every value are checked in numpy against the data:
-    bracket_hi is an opening a whose paraboloid, with the slope read off the
-    minimising facet, stays below all N samples (so Theta <= a), and
-    bracket_lo is sum_k lam_k (v_i - v_k) for weights lam >= 0 on the other
-    vertices of a minimising facet with sum lam_k dx_k = 0 and
-    sum lam_k |dx_k|^2/2 = 1 (so Theta >= it, by LP duality). They decide on
-    the hull _lifted_hull returns: GeometryError names the uncertified count.
+    The floor needs no hull. The others are proposed by the hull of the
+    samples within _NEAR_CELLS cells of them (a cloud with fewer
+    constraints, whose normal cones can only be wider), unless those hold
+    over _NEAR_SHARE of all, and by the full hull where that leaves any
+    sample uncertified. Both ends of every proposal are checked in numpy
+    against all N samples: bracket_hi is an opening a whose paraboloid, with
+    the slope read off the minimising facet, stays below every sample (so
+    Theta <= a), and bracket_lo is sum_k lam_k (v_i - v_k) for weights
+    lam >= 0 on the other vertices of a minimising facet with
+    sum lam_k dx_k = 0 and sum lam_k |dx_k|^2/2 = 1 (so Theta >= it, by LP
+    duality). GeometryError names the count the full hull leaves uncertified.
 
     theta is bracket_hi at every sample. a_max only sets converged
     (Theta <= a_max), which the benchmark's Theta check reads, and bisect_tol
@@ -587,7 +612,9 @@ def theta_field(v: GridFunction, a_max: float, bisect_tol: float | None = None) 
     require_positive("a_max", a_max)
 
     pts, d2, inside = v._coords()
-    lo, hi, stats = _exact_theta(pts[inside], v.values.ravel()[inside])
+    values = v.values.ravel()[inside]
+    floor = values == values.min()
+    lo, hi, stats = _exact_theta(pts[inside], values, floor, _near(v.shape, inside, ~floor))
     converged = hi <= a_max
     d_to_boundary = v.domain_radius - np.sqrt(d2)
     interior = (d_to_boundary >= 2.0 * v.spacing) & inside
@@ -602,68 +629,74 @@ def theta_field(v: GridFunction, a_max: float, bisect_tol: float | None = None) 
     )
 
 
-def _exact_theta(points: np.ndarray, values: np.ndarray):
-    """Certified (lo, hi) bounds on Theta per sample, and the counters (see ThetaField)."""
+def _exact_theta(points: np.ndarray, values: np.ndarray, floor: np.ndarray, near):
+    """Certified (lo, hi) bounds on Theta per sample, and the counters (see ThetaField).
+
+    floor flags samples at the minimum; near flags the samples whose hull
+    proposes first, or is None (the full hull only).
+    """
     n, d = points.shape
-    q = 0.5 * (points ** 2).sum(axis=1)
     corners = _corners(points)
-    no_hull = dict(hull_facets=0, contact_facets=0, certified=n)
+    stats = dict(hull_calls=0, hull_points=0, q0_raised=0)
+    no_hull = dict(hull_facets=0, contact_facets=0, certified=n, floor=int(floor.sum()))
     if len(corners) == n:
         # Theta = 0 at every x-hull vertex; with no sample left inside, the lift
         # may span no hull (four square corners have equal q)
-        return np.zeros(n), np.zeros(n), dict(hull_calls=0, hull_points=0, q0_raised=0) | no_hull
-    cloud = np.column_stack([points, values, q])
-    hull, coef, stats = _lifted_hull(cloud, d)
-    if hull is None:
-        # a flat lift, v = b.x + c q + e: Theta = max(0, -c) off the corners
-        theta = np.full(n, max(0.0, -float(coef[-2])))
-        theta[corners] = 0.0
-        return theta, theta, stats | no_hull
-    lo, hi, failed, contact_facets = _certified_theta(hull, cloud, d, corners)
-    if failed:
-        raise GeometryError(f"Theta left {failed} of {n} samples uncertified")
-    return lo, hi, stats | dict(hull_facets=len(hull.simplices),
-                                contact_facets=contact_facets, certified=n)
+        return np.zeros(n), np.zeros(n), stats | no_hull
+    cloud = np.column_stack([points, values, 0.5 * (points ** 2).sum(axis=1)])
+    need = ~floor
+    need[corners] = False
+    for idx in ([] if near is None else [np.flatnonzero(near)]) + [np.arange(n)]:
+        hull, coef = _lifted_hull(cloud[idx], d, stats)
+        if hull is None:
+            if len(idx) < n:
+                continue        # a flat neighbourhood proposes nothing
+            # a flat lift, v = b.x + c q + e: Theta = max(0, -c) off the corners
+            theta = np.full(n, max(0.0, -float(coef[-2])))
+            theta[corners] = 0.0
+            return theta, theta, stats | no_hull
+        rows, r, slope, dual, contact_facets = _theta_proposals(hull, idx, cloud, d, need)
+        # every sample is in contact at a large enough opening, so one that no
+        # facet with c_v > 0 touches fails
+        lo, hi, ok = np.zeros(n), np.zeros(n), ~need
+        lo[rows], hi[rows], ok[rows] = _theta_certificate(cloud, d, rows, r, slope, dual)
+        failed = int((~ok).sum())
+        if not failed:
+            return lo, hi, stats | no_hull | dict(hull_facets=len(hull.simplices),
+                                                  contact_facets=contact_facets)
+    raise GeometryError(f"Theta left {failed} of {n} samples uncertified")
 
 
-def _certified_theta(hull, cloud: np.ndarray, d: int, corners: np.ndarray):
-    """(lo, hi, failed count, contact facet count) from the hull's normal cones."""
+def _theta_proposals(hull, idx: np.ndarray, cloud: np.ndarray, d: int, need: np.ndarray):
+    """Theta proposed by the hull of cloud[idx] at the samples need flags that it touches.
+
+    Returns their indices into cloud (ascending), and per sample the least
+    ratio r = c_q/c_v over its facets with c_v > 0, that facet's c_x/c_v and
+    the dual bound: the largest sum_k lam_k (v_i - v_k) over the facets tying
+    r, lam >= 0 on their other vertices with sum lam dx = 0 and
+    sum lam |dx|^2/2 = 1 (-inf where no weights hold). Then the count of
+    facets with c_v > 0.
+    """
     n = len(cloud)
-    points, values, q = cloud[:, :d], cloud[:, d], cloud[:, d + 1]
+    points, values = cloud[:, :d], cloud[:, d]
     normal = -hull.equations[:, :d + 2]          # inward
     up = normal[:, d] > _VERTICAL_TOL
-    simplices = hull.simplices[up]
+    simplices = idx[hull.simplices[up]]
     ratio = normal[up, d + 1] / normal[up, d]
     slope = normal[up, :d] / normal[up, d][:, None]
 
-    # (sample, facet) incidences sorted by ratio within each sample
+    # (sample, facet) incidences of the samples need flags, sorted by ratio within each sample
     owner = simplices.ravel()
     facet = np.repeat(np.arange(len(simplices)), d + 2)
+    mine = need[owner]
+    owner, facet = owner[mine], facet[mine]
     order = np.lexsort((ratio[facet], owner))
     owner, facet = owner[order], facet[order]
     touched, first = np.unique(owner, return_index=True)
     best = np.full(n, np.inf)
     best[touched] = ratio[facet[first]]
 
-    lo = np.full(n, np.inf)
-    hi = np.full(n, np.inf)
-
-    # primal: the paraboloid of opening a = max(r, 0) and slope p at x_i stays
-    # below every sample; slack_ij = K_i . (v_j, q_j, x_j, 1), blockwise
-    r = best[touched]
-    a = np.maximum(r, 0.0)
-    x = points[touched]
-    p = -(slope[facet[first]] + r[:, None] * x)
-    m = a[:, None] * x + p
-    const = -values[touched] + a * q[touched] + (p * x).sum(axis=1)
-    K = np.column_stack([np.ones(len(r)), a, -m, const])
-    feats = np.column_stack([values, q, points, np.ones(n)])
-    scale = np.abs(K) @ np.abs(feats).max(axis=0) + np.abs(p).sum(axis=1) * np.abs(points).max()
-    worst = _least_slack(K, feats.T)
-    hi[touched] = a
-
-    # dual: on each facet tying the minimum, weights lam on its other d+1
-    # vertices with sum lam dx = 0 and sum lam |dx|^2/2 = 1 prove Theta >= sum lam (v_i - v_k)
+    # on each facet tying the minimum, weights lam on its other d+1 vertices
     tie = ratio[facet] <= best[owner] + _CERT_RTOL * np.maximum(1.0, np.abs(best[owner]))
     tie &= best[owner] > 0.0
     i, f = owner[tie], facet[tie]
@@ -680,18 +713,34 @@ def _certified_theta(hull, cloud: np.ndarray, d: int, corners: np.ndarray):
     resid = np.abs(np.einsum("pkl,pl->pk", M, lam) - np.eye(d + 1)[d]).max(axis=1)
     valid = regular & (resid <= _CERT_RTOL * np.maximum(1.0, lam.sum(axis=1)))
     bound = (lam * (values[i][:, None] - values[others])).sum(axis=1)
-    lo_pos = np.full(n, -np.inf)
-    np.maximum.at(lo_pos, i[valid], bound[valid])
-    lo[touched] = np.where(r > 0.0, np.minimum(lo_pos[touched], a), 0.0)
+    dual = np.full(n, -np.inf)
+    np.maximum.at(dual, i[valid], bound[valid])
+    return touched, best[touched], slope[facet[first]], dual[touched], int(up.sum())
 
-    # every sample is in contact at a large enough opening, so one that no
-    # facet with c_v > 0 touches fails too
-    ok = np.zeros(n, dtype=bool)
-    gap = np.where(r > 0.0, np.abs(a - lo_pos[touched]), 0.0)
-    ok[touched] = (worst >= -_CERT_RTOL * scale) & (gap <= _CERT_RTOL * np.maximum(1.0, a))
-    ok[corners] = True
-    lo[corners] = hi[corners] = 0.0
-    return lo, hi, int((~ok).sum()), int(up.sum())
+
+def _theta_certificate(cloud: np.ndarray, d: int, rows: np.ndarray, r: np.ndarray,
+                       slope: np.ndarray, dual: np.ndarray):
+    """(lo, hi, ok) at the samples rows from their proposals, each checked against all samples.
+
+    hi = max(r, 0) holds when the paraboloid of that opening, with the slope
+    the proposal gives at x_i, stays below every sample (primal); lo is the
+    dual bound, capped at hi, where r > 0, else 0. ok: both hold to _CERT_RTOL.
+    """
+    n = len(cloud)
+    points, values, q = cloud[:, :d], cloud[:, d], cloud[:, d + 1]
+    # slack_ij = K_i . (v_j, q_j, x_j, 1), blockwise
+    a = np.maximum(r, 0.0)
+    x = points[rows]
+    p = -(slope + r[:, None] * x)
+    m = a[:, None] * x + p
+    const = -values[rows] + a * q[rows] + (p * x).sum(axis=1)
+    K = np.column_stack([np.ones(len(r)), a, -m, const])
+    feats = np.column_stack([values, q, points, np.ones(n)])
+    scale = np.abs(K) @ np.abs(feats).max(axis=0) + np.abs(p).sum(axis=1) * np.abs(points).max()
+    worst = _least_slack(K, feats.T)
+    lo = np.where(r > 0.0, np.minimum(dual, a), 0.0)
+    gap = np.where(r > 0.0, np.abs(a - dual), 0.0)
+    return lo, a, (worst >= -_CERT_RTOL * scale) & (gap <= _CERT_RTOL * np.maximum(1.0, a))
 
 
 def tail_distribution(theta: ThetaField, restrict_radius: float,
@@ -730,8 +779,9 @@ def _decay_masks(shape: tuple, inside: np.ndarray, points: np.ndarray, values: n
 
     Contact only grows with the opening: a plane strictly supporting the lift
     at a sample, plus ((a'-a)/2)(|x|^2 - |x - x_i|^2), which is affine,
-    strictly supports it at every a' > a. So after the first opening's full
-    hull only the samples out of contact are decided, by the hull of those
+    strictly supports it at every a' > a. The samples at the minimum (the
+    floor) are in contact at every a > 0. So each opening decides only the
+    samples out of contact before it, from the floor on, by the hull of those
     within _NEAR_CELLS grid cells of them (_neighbourhood_contact). Where that
     neighbourhood holds over _NEAR_SHARE of the samples, or leaves any of them
     undecided, the opening's full _contact decides.
@@ -742,17 +792,17 @@ def _decay_masks(shape: tuple, inside: np.ndarray, points: np.ndarray, values: n
             stats[k] += c
         return mask
 
-    at_grid = np.flatnonzero(inside)
     shift = 0.5 * (points ** 2).sum(axis=1)
-    on_hull = None
+    on_hull = values == values.min()
+    stats["floor"] = int(on_hull.sum())
+    if on_hull.all():
+        _corners(points)    # constant data builds no lifted hull, yet must span R^d
     for a in openings.tolist():
-        if on_hull is None:
-            on_hull = full(a)
-        elif not on_hull.all():
+        if not on_hull.all():
             cand = np.flatnonzero(~on_hull)
-            near = _dilated(shape, at_grid[cand], _NEAR_CELLS).reshape(-1)[inside]
+            near = _near(shape, inside, cand)
             touched = None
-            if near.sum() > _NEAR_SHARE * len(points):
+            if near is None:
                 stats["undecided"] += len(cand)
             else:
                 touched = _neighbourhood_contact(points, values + a * shift, cand, near, stats)
@@ -772,11 +822,12 @@ def decay_experiment(v: GridFunction, delta: float, levels: int,
     opening (1+delta)^j (the module's hull-vertex test); the least-squares
     geometric decay factor of the nonzero counts is compared with the
     guaranteed 1 - c*(1+1/delta)^-n.
-    Contact only grows with the opening, so one full hull decides the first
-    opening and, after it, the hull of the samples near those still out of
-    contact decides them, each decision certified in numpy (_decay_masks);
-    an opening it leaves undecided gets its full hull. Every mask is the full
-    hull's at that opening. An exception of any hull is raised as it is.
+    Contact only grows with the opening, and the samples at the minimum are in
+    contact at every opening, so at each opening the hull of the samples near
+    those still out of contact decides them, each decision certified in numpy
+    (_decay_masks); an opening it leaves undecided gets its full hull. Every
+    mask is the full hull's at that opening. An exception of any hull is
+    raised as it is.
     Raises DegenerateData (carrying the partial report) when fewer than 3
     counts are nonzero, and DomainError if the last opening is too large.
     """

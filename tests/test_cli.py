@@ -258,6 +258,27 @@ def test_theta_command(tmp_path, capsys):
     assert measures[-1] == 0.0
 
 
+def test_theta_and_decay_count_the_floor(tmp_path, capsys):
+    # on the capped bump most samples sit at the grid's minimum: they are
+    # decided without a hull, and the hulls take fewer points than the ball holds
+    g = h.capped_bump(h.RadialProfile(3, 1.0, 0.35, 1.0, 2.0), 33)
+    grid_path = tmp_path / "bump.json"
+    g.save(grid_path)
+    inside = g.values[g.inside_mask()]
+    floor = int((inside == inside.min()).sum())
+    assert 0 < floor < len(inside)
+    got = {}
+    for argv in (["theta", "--a-max", "600"],
+                 ["decay", "--delta", "1", "--levels", "4", "--n", "3", "--ratio", "2"]):
+        code, out, _ = run_cli(capsys, *argv, "--input", str(grid_path), "--reproducible")
+        assert code == 0
+        got[argv[0]] = parse_csv(out)[0]
+    assert int(got["theta"]["theta_floor"]) == int(got["decay"]["decay_floor"]) == floor
+    assert int(got["theta"]["theta_hull_points"]) < len(inside)
+    assert int(got["theta"]["theta_certified"]) == len(inside)
+    assert int(got["decay"]["decay_undecided"]) == 0
+
+
 @pytest.mark.parametrize("radius", ["0", "-0.5", "nan"])
 def test_theta_bad_restrict_radius_is_usage_error(tmp_path, capsys, radius):
     grid_path = tmp_path / "g.json"
@@ -302,14 +323,16 @@ def test_decay_normal_run(tmp_path, capsys):
     assert err == ""
     comments, rows = parse_csv(out)
     assert float(comments["theoretical_ratio"]) == 0.875
-    # the 777 samples out of contact up to 16 have the whole grid as their
-    # neighbourhood, so openings 1 to 32 build full hulls (undecided counts
-    # the 777 at each of 2 to 32); at 16 the lift is flat, so "Q0" raises and
-    # no rebuild follows; at 64 every sample is in contact and none is built
+    # the floor is the 4 samples at |x| = 1 on the axes; the 793 others at 1,
+    # and the 777 still out of contact at each of 2 to 32, have the whole grid
+    # as their neighbourhood, so openings 1 to 32 build full hulls (undecided
+    # counts them); at 16 the lift is flat, so "Q0" raises and no rebuild
+    # follows; at 64 every sample is in contact and none is built
     decay = {k: int(v) for k, v in comments.items() if k.startswith("decay_")}
     assert decay.pop("decay_lower_facets") > 0
     assert decay == dict(decay_hull_calls=6, decay_hull_points=6 * int(g.inside_mask().sum()),
-                         decay_q0_raised=1, decay_q0_rejected=0, decay_undecided=5 * 777)
+                         decay_q0_raised=1, decay_q0_rejected=0,
+                         decay_undecided=793 + 5 * 777, decay_floor=4)
     counts = [float(r["count_measure"]) for r in rows]
     assert all(b <= a + 1e-12 for a, b in zip(counts, counts[1:]))
 

@@ -469,15 +469,19 @@ def test_lifted_hull_policy(engine, monkeypatch):
     def options():
         return [o for o, _ in built]
 
+    def lifted_hull(cloud):
+        stats = dict(hull_calls=0, hull_points=0, q0_raised=0)
+        return lab._lifted_hull(cloud, d, stats) + (stats,)
+
     # "Q0" builds: its hull is returned as it is, with no fit
-    got, coef, stats = lab._lifted_hull(ridge, d)
+    got, coef, stats = lifted_hull(ridge)
     assert options() == ["Q0"] and got is built[-1][1] and coef is None
     assert stats == dict(hull_calls=1, hull_points=n, q0_raised=0)
 
     # "Q0" raises on a lift that is not flat: one "Qx" build is returned
     raising.add("Q0")
     built.clear()
-    got, coef, stats = lab._lifted_hull(ridge, d)
+    got, coef, stats = lifted_hull(ridge)
     assert options() == ["Q0", "Qx"] and got is built[-1][1] and coef is None
     assert stats == dict(hull_calls=2, hull_points=2 * n, q0_raised=1)
 
@@ -487,7 +491,7 @@ def test_lifted_hull_policy(engine, monkeypatch):
     built.clear()
     flat = lift(lambda p: -1.5 * (p ** 2).sum(axis=1) + 0.3 * p[:, 0] - 0.2 * p[:, 1] + 1.0
                 + (0.5 * (p ** 2).sum(axis=1) if engine == "contact" else 0.0))
-    got, coef, stats = lab._lifted_hull(flat, d)
+    got, coef, stats = lifted_hull(flat)
     want = [0.3, -0.2, 1.0] if engine == "contact" else [0.3, -0.2, -3.0, 1.0]
     assert got is None and np.allclose(coef, want, rtol=0.0, atol=1e-12)
     assert options() == ["Q0"] and stats == dict(hull_calls=1, hull_points=n, q0_raised=1)
@@ -496,7 +500,7 @@ def test_lifted_hull_policy(engine, monkeypatch):
     raising.update({"Q0", "Qx"})
     built.clear()
     with pytest.raises(h.GeometryError, match="not flat"):
-        lab._lifted_hull(ridge, d)
+        lifted_hull(ridge)
     assert options() == ["Q0", "Qx"]
 
 
@@ -685,6 +689,11 @@ def test_theta_is_symmetric_with_its_grid(lattice65_theta):
     tf = lattice65_theta
     assert (tf.stats["hull_calls"], tf.stats["q0_raised"]) == (2, 1)
     theta, inside = tf.theta, tf.grid.inside_mask()
+    # its 8 floor samples have the whole grid as their neighbourhood: both
+    # builds are full ones, and the result is the full path's, bit for bit
+    assert tf.stats["hull_points"] == 2 * int(inside.sum()) and tf.stats["floor"] == 8
+    for got, want in zip((tf.bracket_lo, tf.bracket_hi), _full_path(tf.grid)):
+        assert np.array_equal(got[inside], want)
     assert theta[inside].max() > 600.0
     for image in (theta[::-1, :], theta[:, ::-1], theta.T):
         assert np.array_equal(np.isnan(image), ~inside)
@@ -703,6 +712,69 @@ def test_theta_does_not_grow_on_a_subgrid(lattice65, lattice65_theta):
     assert np.array_equal(inside, ~np.isnan(fine))
     assert fine[inside].max() > 600.0
     assert (coarse.theta[inside] <= fine[inside]).all()
+
+
+def _full_path(g):
+    # (lo, hi) of Theta from the full hull alone, in the order of the samples inside
+    pts, _, inside = g._coords()
+    values = g.values.ravel()[inside]
+    return lab._exact_theta(pts[inside], values, values == values.min(), None)[:2]
+
+
+def _floor_band(g):
+    # the samples at the grid's minimum, and those within 2 cells (2h) of a
+    # sample on the other side of the floor's edge
+    inside = g.inside_mask().ravel()
+    pts, values = g.points()[inside], g.values.ravel()[inside]
+    floor = values == values.min()
+    gap = np.sqrt(((pts[floor][:, None, :] - pts[~floor][None, :, :]) ** 2).sum(axis=2))
+    close = gap <= 2.0 * g.spacing * (1.0 + 1e-9)
+    band = np.zeros(len(pts), dtype=bool)
+    band[np.flatnonzero(floor)[close.any(axis=1)]] = True
+    band[np.flatnonzero(~floor)[close.any(axis=0)]] = True
+    return floor, np.flatnonzero(band)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_theta_floor_path_matches_lp_oracle(bump33, dim):
+    # the floor is exactly 0 without a hull, and the neighbourhood hull of the
+    # rest proposes: on both sides of the floor's edge, where that hull ends,
+    # Theta agrees with HiGHS
+    g = bump33 if dim == 2 else h.capped_bump(h.RadialProfile(3, 3.0, 0.35, 1.0, 2.0), 17,
+                                                centre=(0.0, 0.0, 0.0))
+    tf = h.theta_field(g, a_max=600.0)
+    inside = g.inside_mask()
+    floor, band = _floor_band(g)
+    assert tf.stats["floor"] == floor.sum() and tf.stats["hull_points"] < len(floor)
+    for end in (tf.bracket_lo, tf.bracket_hi):
+        assert (end[inside][floor] == 0.0).all()
+    assert floor[band].any() and not floor[band].all()
+    _assert_matches_lp(tf, band)
+
+
+def test_theta_falls_back_to_the_full_hull(bump33, monkeypatch):
+    # a neighbourhood hull without the facets at one sample off the floor
+    # leaves that sample unproposed; the full hull decides, and Theta is the
+    # full path's
+    at, built = (0.0, 3.0 * bump33.spacing), []
+    n = int(bump33.inside_mask().sum())
+
+    def hull(cloud, qhull_options=None):
+        full = ConvexHull(cloud, qhull_options=qhull_options)
+        if qhull_options is None:
+            return full
+        built.append(len(cloud))
+        if len(cloud) == n:
+            return full
+        keep = ~(full.simplices == _row_at(cloud, at)).any(axis=1)
+        return SimpleNamespace(simplices=full.simplices[keep], equations=full.equations[keep])
+    monkeypatch.setattr(lab, "ConvexHull", hull)
+    tf = h.theta_field(bump33, a_max=600.0)
+    assert len(built) == 2 and built[0] < built[1] == n
+    assert tf.stats["hull_points"] == sum(built) and tf.stats["certified"] == n
+    inside = bump33.inside_mask()
+    for got, want in zip((tf.bracket_lo, tf.bracket_hi), _full_path(bump33)):
+        assert np.array_equal(got[inside], want)
 
 
 def test_theta_matches_lp_oracle_in_3d():
@@ -765,30 +837,41 @@ def test_theta_merged_fallback_matches(bump33, monkeypatch):
     assert np.array_equal(plain.converged, merged.converged)
 
 
+def _row_at(cloud, x):
+    # the row of a lifted cloud whose sample sits at x
+    rows = np.flatnonzero((cloud[:, :len(x)] == x).all(axis=1))
+    assert len(rows) == 1
+    return rows[0]
+
+
 def test_theta_non_supporting_facets_are_caught(bump33, monkeypatch):
-    # every hull is built with the sample at x = (0, 3h) lifted far up in v:
-    # that sample loses its facets with c_v > 0, and the facets now spanning
-    # over it pass above the real sample, which the primal certificates of its
-    # neighbours reject
+    # every lifted hull is built with the sample at x = (0, 3h) lifted far up
+    # in v: that sample loses its facets with c_v > 0, and the facets now
+    # spanning over it pass above the real sample, which the primal
+    # certificates of its neighbours reject, on the floor's neighbourhood hull
+    # and again on the full hull it falls back to
+    at, built = (0.0, 3.0 * bump33.spacing), []
+
     def hull(cloud, qhull_options=None):
         if qhull_options is not None:
+            built.append(len(cloud))
             cloud = cloud.copy()
-            cloud[len(cloud) // 2 + 3, -2] += 10.0
+            cloud[_row_at(cloud, at), -2] += 10.0
         return ConvexHull(cloud, qhull_options=qhull_options)
     monkeypatch.setattr(lab, "ConvexHull", hull)
     with pytest.raises(h.GeometryError) as info:
         h.theta_field(bump33, a_max=600.0)
     failed = int(re.search(r"left (\d+) of", str(info.value)).group(1))
     assert failed > 1
+    assert len(built) == 2 and built[0] < built[1] == int(bump33.inside_mask().sum())
 
 
 def test_theta_missing_facets_are_caught(bump33, monkeypatch):
     # a "Q0" hull without the facets that give one sample its Theta: the next
     # facet still supports the data, but its ratio is too high, which the dual
-    # certificate rejects; Theta keeps the hull it built, so that sample is
-    # named as uncertified after one lifted build
-    target = int(bump33.inside_mask().sum()) // 2 + 3   # x = (0, 3h), Theta about 5.0
-    built = []
+    # certificate rejects, on the floor's neighbourhood hull and again on the
+    # full hull it falls back to; that sample is named as uncertified
+    at, built = (0.0, 3.0 * bump33.spacing), []     # Theta about 5.0
 
     def hull(cloud, qhull_options=None):
         full = ConvexHull(cloud, qhull_options=qhull_options)
@@ -796,14 +879,14 @@ def test_theta_missing_facets_are_caught(bump33, monkeypatch):
             return full
         built.append(qhull_options)
         inward = -full.equations
-        at = (full.simplices == target).any(axis=1) & (inward[:, -3] > 0.0)
-        ratio = np.where(at, inward[:, -2] / np.where(at, inward[:, -3], 1.0), np.inf)
+        at_target = (full.simplices == _row_at(cloud, at)).any(axis=1) & (inward[:, -3] > 0.0)
+        ratio = np.where(at_target, inward[:, -2] / np.where(at_target, inward[:, -3], 1.0), np.inf)
         keep = ratio > ratio.min() + 1e-9
         return SimpleNamespace(simplices=full.simplices[keep], equations=full.equations[keep])
     monkeypatch.setattr(lab, "ConvexHull", hull)
     with pytest.raises(h.GeometryError, match=r"left 1 of \d+ samples uncertified"):
         h.theta_field(bump33, a_max=600.0)
-    assert built == ["Q0"]
+    assert built == ["Q0", "Q0"]
 
 
 def test_theta_all_hulls_failing_is_geometry_error(bump33, monkeypatch):
@@ -966,7 +1049,7 @@ def _decay_stats():
 
 
 def test_decay_masks_equal_one_full_hull_per_opening(monkeypatch):
-    # after the first opening only the samples out of contact are decided, from
+    # from the floor on, only the samples out of contact are decided, from
     # their neighbourhood's hull; every opening's mask and count still equal
     # one full _contact, at the critical openings too (the paraboloid lifts
     # flat at 4, the plateau and the lattice have flat faces at 16 and 2)
@@ -980,10 +1063,10 @@ def test_decay_masks_equal_one_full_hull_per_opening(monkeypatch):
         assert all(np.array_equal(m, w) for m, w in zip(masks, want)), g.shape
         counts = [(~w).sum() * g.cell_measure for w in want]
         assert np.array_equal(_decay_or_partial(g, 7).counts, counts), g.shape
-        fallbacks.append((full[1:], stats))
+        fallbacks.append((full, stats))
     # the README plateau falls back at its flat face only, where its 385 inner
     # samples tie and the full hull's vertex check refuses "Q0"; on the
-    # shifted bump every opening after the first is decided by its neighbourhood
+    # shifted bump every opening is decided by its neighbourhood
     plateau, bump = fallbacks[1], fallbacks[-1]
     assert plateau[0] == [16.0] and (plateau[1]["hull_calls"], plateau[1]["q0_rejected"],
                                      plateau[1]["undecided"]) == (8, 1, 385)
@@ -1023,6 +1106,30 @@ def test_decay_certifies_contact_against_every_sample(monkeypatch):
     assert np.flatnonzero(near).searchsorted(at[m]) in lower
 
 
+def test_neighbourhood_leaves_a_candidate_within_the_margin_undecided(monkeypatch):
+    # the middle sample of a convex 1-d lift moved onto the chord of its
+    # neighbours, 1e-13 (far below the 1e-12 margin, far above rounding) off
+    # it: above, it lies inside the hull, within rounding of the lower facet;
+    # below, it is a vertex that a "Q0" hull may drop as coplanar (built here
+    # without it). Neither is called out of contact; 1e-3 above, it is
+    x, k = np.linspace(-1.0, 1.0, 9)[:, None], 4
+    for offset, dropped, want in ((1e-13, False, None), (-1e-13, True, None),
+                                  (1e-3, False, [False])):
+        lifted = x[:, 0] ** 2 + 1.0
+        lifted[k] = 0.5 * (lifted[k - 1] + lifted[k + 1]) + offset
+
+        def hull(cloud, qhull_options=None):
+            if dropped:
+                cloud = cloud.copy()
+                cloud[k, -1] += 1.0
+            return ConvexHull(cloud, qhull_options=qhull_options)
+        monkeypatch.setattr(lab, "ConvexHull", hull)
+        stats = dict(hull_calls=0, hull_points=0, q0_raised=0, lower_facets=0, undecided=0)
+        got = lab._neighbourhood_contact(x, lifted, np.array([k]), np.ones(len(x), bool), stats)
+        assert (got if got is None else got.tolist()) == want, offset
+        assert stats["undecided"] == (want is None), offset
+
+
 def test_dilated_marks_the_cells_two_steps_away_along_every_axis():
     rng = np.random.default_rng(7)
     for shape in ((9,), (7, 8), (5, 6, 7)):
@@ -1046,7 +1153,8 @@ def test_decay_builds_on_the_calling_thread(monkeypatch):
 
 def test_decay_fallback_error_is_raised_as_it_is(monkeypatch):
     # the plateau's flat face at 16 leaves samples undecided; the full hull
-    # built for it raises, and decay raises that very object
+    # built for it raises, and decay raises that very object, with no full
+    # hull built before it
     contact, error, built = lab._contact, h.GeometryError("forced at opening 16"), []
 
     def failing(points, values, a, need_values):
@@ -1058,15 +1166,18 @@ def test_decay_fallback_error_is_raised_as_it_is(monkeypatch):
     g = h.grid_from_callable(lambda p: np.maximum(-8.0 * (p ** 2).sum(axis=1), -1.0), 2, 65)
     with pytest.raises(h.GeometryError) as info:
         h.decay_experiment(g, 1.0, 5, h.Ellipticity(3, 2.0, 1))
-    assert info.value is error and built == [1.0]
+    assert info.value is error and built == []
 
 
 def test_decay_partial_report_sums_the_counters():
-    # convex data is in contact everywhere at the first opening, so decay
-    # builds that one hull and decides nothing after it
+    # convex data is in contact everywhere at the first opening; its floor is
+    # the centre, whose neighbourhood holds every sample, so decay sends the
+    # others to that opening's full hull and decides nothing after it
     g = h.grid_from_callable(lambda p: (p ** 2).sum(axis=1), 2, 33, domain_radius=1.0)
     pts, _, inside = g._coords()
-    want = lab._contact(pts[inside], g.values.ravel()[inside], 1.0, False)[2] | {"undecided": 0}
+    n = int(inside.sum())
+    want = lab._contact(pts[inside], g.values.ravel()[inside], 1.0, False)[2] | {
+        "undecided": n - 1, "floor": 1}
     with pytest.raises(h.DegenerateData) as exc:
         h.decay_experiment(g, 1.0, 5, h.Ellipticity(2, 2.0, 1))
     assert exc.value.report.stats == want and want["hull_calls"] == 1
