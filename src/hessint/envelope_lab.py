@@ -26,9 +26,13 @@ generic 2-D data sits order-one above the true envelope.
 The samples at the grid's minimum (the floor) are in contact at every
 opening a > 0, so they need no hull: Theta and decay hull only the samples
 within _NEAR_CELLS cells of the rest, and check what that hull proposes
-against every sample. The full hull decides only where that neighbourhood
-holds over _NEAR_SHARE of the samples or leaves any undecided. Decay's
-neighbourhood hulls take only the "Q0" step of _lifted_hull, Theta's all of it.
+against every sample with one support certificate (_support_margin). The
+paraboloid v_i + p.(x - x_i) - (a/2)|x - x_i|^2 stays below every other
+sample exactly when the plane through the lifted sample (x_i, v_i + a q_i),
+q = |x|^2/2, with slope p + a x_i stays below every other lifted sample:
+Theta proposes the paraboloid, decay the plane. The full hull decides only
+where that neighbourhood holds over _NEAR_SHARE of the samples or leaves any
+undecided.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -86,17 +91,18 @@ class GridFunction:
     def __post_init__(self):
         if not (is_int(self.dim) and 1 <= self.dim <= 3):
             raise GridFormatError(f"dim must be 1, 2 or 3, got {self.dim!r}")
-        self.shape = tuple(int(s) for s in self.shape)
-        if len(self.shape) != self.dim or min(self.shape) < 3:
-            raise GridFormatError(f"shape {self.shape} invalid for dim {self.dim}")
+        if not (isinstance(self.shape, Sequence) and len(self.shape) == self.dim
+                and all(is_int(s) and s >= 3 for s in self.shape)):
+            raise GridFormatError(f"shape must be {self.dim} ints >= 3, got {self.shape!r}")
+        self.shape = tuple(self.shape)
         for name in ("spacing", "domain_radius"):
             x = getattr(self, name)
             if not (is_number(x) and 0.0 < x < math.inf):
                 raise GridFormatError(f"{name} must be a finite positive number, got {x!r}")
             setattr(self, name, float(x))
-        if not (len(self.center) == self.dim
+        if not (isinstance(self.center, Sequence) and len(self.center) == self.dim
                 and all(is_number(c) and math.isfinite(c) for c in self.center)):
-            raise GridFormatError(f"center {self.center} invalid for dim {self.dim}")
+            raise GridFormatError(f"center must be {self.dim} finite numbers, got {self.center!r}")
         self.center = tuple(float(c) for c in self.center)
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.shape != self.shape:
@@ -347,26 +353,18 @@ def _lifted_hull(cloud: np.ndarray, d: int, stats: dict):
     hull_points (raised builds included) and q0_raised (flat lifts included).
     """
     n = len(cloud)
-    hull = _q0_hull(cloud, stats)
-    if hull is not None:
-        return hull, None
+    stats["hull_calls"] += 1
+    stats["hull_points"] += n
+    try:
+        return ConvexHull(cloud, qhull_options="Q0"), None
+    except _qhull_error():
+        stats["q0_raised"] += 1
     A, y = np.column_stack([np.delete(cloud, d, axis=1), np.ones(n)]), cloud[:, d]
     coef = np.linalg.lstsq(A, y, rcond=None)[0]
     # the least-squares fit must reproduce y; a NaN residual (non-finite data) is not flat
     if np.abs(A @ coef - y).max() <= _AFFINE_RTOL * max(1.0, float(np.abs(y).max())):
         return None, coef
     return _merged_hull(cloud, stats), None
-
-
-def _q0_hull(cloud: np.ndarray, stats: dict):
-    """The "Q0" hull, or None where qhull raises; counted into stats."""
-    stats["hull_calls"] += 1
-    stats["hull_points"] += len(cloud)
-    try:
-        return ConvexHull(cloud, qhull_options="Q0")
-    except _qhull_error():
-        stats["q0_raised"] += 1
-        return None
 
 
 def _merged_hull(cloud: np.ndarray, stats: dict):
@@ -380,55 +378,35 @@ def _merged_hull(cloud: np.ndarray, stats: dict):
             f"qhull failed on a lift of {len(cloud)} samples that is not flat") from exc
 
 
-def _contact(points: np.ndarray, values: np.ndarray, a: float, need_values: bool):
-    """Lower hull of values + (a/2)|x|^2: (a-convex envelope or None, contact mask, counters).
+def _contact(points: np.ndarray, values: np.ndarray, a: float, stats: dict):
+    """Lower hull of values + (a/2)|x|^2 and the contact mask: (hull, or None where flat, mask).
 
     The mask marks vertices of downward facets (the x-hull corners where the
-    lift is flat: one facet); the envelope is the lift there and the largest
-    supporting plane of those facets elsewhere (the data where flat). If
-    _extreme_at refuses a "Q0" hull's marked vertices, the merged hull decides.
-    Counters: _lifted_hull's, q0_rejected (that rebuild) and lower_facets.
+    lift is flat: one facet). If _extreme_at refuses a "Q0" hull's marked
+    vertices, the merged hull decides. Counts into stats: _lifted_hull's,
+    q0_rejected (that rebuild) and lower_facets.
     """
     n, d = points.shape
-    shift = 0.5 * a * (points ** 2).sum(axis=1)
-    lifted = values + shift
-    cloud = np.column_stack([points, lifted])
+    cloud = np.column_stack([points, values + 0.5 * a * (points ** 2).sum(axis=1)])
 
     def lower_vertices(hull):
-        lower = hull.equations[:, d] < -_VERTICAL_TOL
         mask = np.zeros(n, dtype=bool)
-        mask[hull.simplices[lower]] = True
-        return lower, mask
+        mask[hull.simplices[hull.equations[:, d] < -_VERTICAL_TOL]] = True
+        return mask
 
-    stats = dict(hull_calls=0, hull_points=0, q0_raised=0, q0_rejected=0)
+    raised = stats["q0_raised"]
     hull, _ = _lifted_hull(cloud, d, stats)
     if hull is None:
         on_hull = np.zeros(n, dtype=bool)
         on_hull[_corners(points)] = True
-        return (lifted - shift if need_values else None), on_hull, stats | {"lower_facets": 0}
-    lower, on_hull = lower_vertices(hull)
-    if not stats["q0_raised"] and not _extreme_at(hull, np.flatnonzero(on_hull)):
-        stats["q0_rejected"] = 1
+        return None, on_hull
+    on_hull = lower_vertices(hull)
+    if stats["q0_raised"] == raised and not _extreme_at(hull, np.flatnonzero(on_hull)):
+        stats["q0_rejected"] += 1
         hull = _merged_hull(cloud, stats)
-        lower, on_hull = lower_vertices(hull)
-    stats["lower_facets"] = int(lower.sum())
-    if not need_values:
-        return None, on_hull, stats
-
-    off = ~on_hull
-    off_pts = points[off]
-    best = np.full(len(off_pts), -np.inf)
-    E = hull.equations[lower]
-    # z(x) = -(offset + n_x . x) / n_z, maximized over downward facets;
-    # blockwise to bound the temporary at ~8 MB
-    block = max(1, int(1_000_000 // max(1, len(off_pts))))
-    for s in range(0, len(E), block):
-        chunk = E[s:s + block]
-        z = -(chunk[:, :d] @ off_pts.T + chunk[:, d + 1][:, None]) / chunk[:, d][:, None]
-        best = np.maximum(best, z.max(axis=0))
-    env = lifted.copy()
-    env[off] = np.minimum(best, lifted[off])
-    return env - shift, on_hull, stats
+        on_hull = lower_vertices(hull)
+    stats["lower_facets"] += int((hull.equations[:, d] < -_VERTICAL_TOL).sum())
+    return hull, on_hull
 
 
 def _extreme_at(hull, verts: np.ndarray) -> bool:
@@ -450,10 +428,13 @@ def _extreme_at(hull, verts: np.ndarray) -> bool:
     return bool((np.linalg.eigvalsh(G)[:, 0] > _VERTEX_MARGIN).all())
 
 
-def _least_slack(K: np.ndarray, cols: np.ndarray, skip: np.ndarray | None = None) -> np.ndarray:
-    """Per row of K, the least entry of K @ cols, in _CERT_ROWS row blocks.
+def _least_slack(K: np.ndarray, cols: np.ndarray, extra=0.0,
+                 skip: np.ndarray | None = None) -> np.ndarray:
+    """Per row of K, the least entry of K @ cols over _CERT_RTOL times the row's scale.
 
-    Row i leaves out column skip[i] when skip is given.
+    The scale is |K| @ max|cols| + extra. A margin >= -1 holds to rounding,
+    one > 1 strictly. Row i leaves out column skip[i] when skip is given. In
+    _CERT_ROWS row blocks.
     """
     worst = np.empty(len(K))
     for s in range(0, len(K), _CERT_ROWS):
@@ -461,7 +442,26 @@ def _least_slack(K: np.ndarray, cols: np.ndarray, skip: np.ndarray | None = None
         if skip is not None:
             block[np.arange(len(block)), skip[s:s + _CERT_ROWS]] = np.inf
         worst[s:s + _CERT_ROWS] = block.min(axis=1)
-    return worst
+    return worst / (_CERT_RTOL * (np.abs(K) @ np.abs(cols).max(axis=1) + extra))
+
+
+def _support_margin(cloud: np.ndarray, d: int, rows: np.ndarray, a: np.ndarray,
+                    p: np.ndarray) -> np.ndarray:
+    """Per sample i in rows, _least_slack's margin of the other samples over the
+    paraboloid v_i + p.(x - x_i) - (a/2)|x - x_i|^2, cloud holding (x, v, q = |x|^2/2).
+
+    It is also the margin of the lifted samples (x, v + a q) over the plane
+    through sample i's lift with slope p + a x_i.
+    """
+    n = len(cloud)
+    points, values, q = cloud[:, :d], cloud[:, d], cloud[:, d + 1]
+    x = points[rows]
+    # slack_ij = K_i . (v_j, q_j, x_j, 1); rows of cols contiguous: a transposed
+    # (n, d+3) array made the 8-row products about 1.5 times slower
+    const = -values[rows] + a * q[rows] + (p * x).sum(axis=1)
+    K = np.column_stack([np.ones(len(rows)), a, -(a[:, None] * x + p), const])
+    cols = np.vstack([values, q, points.T, np.ones(n)])
+    return _least_slack(K, cols, np.abs(p).sum(axis=1) * np.abs(points).max(), skip=rows)
 
 
 def _dilated(shape: tuple, at: np.ndarray, cells: int) -> np.ndarray:
@@ -488,22 +488,24 @@ def _near(shape: tuple, inside: np.ndarray, cand: np.ndarray):
     return None if near.sum() > _NEAR_SHARE * len(near) else near
 
 
-def _neighbourhood_contact(points: np.ndarray, lifted: np.ndarray, cand: np.ndarray,
-                           near: np.ndarray, stats: dict):
-    """Contact of the samples cand, decided by the "Q0" hull of the samples near, or None.
+def _neighbourhood_contact(cloud: np.ndarray, a: float, cand: np.ndarray, near: np.ndarray,
+                           stats: dict):
+    """Contact at opening a of the samples cand, from the hull of the samples near, or None.
 
-    near holds cand. A candidate is out of contact when it is no lower vertex
-    of near's hull and lies strictly inside every lower facet (more samples
-    only lower the envelope); it is in contact when it is one and the plane
-    with the sum of its lower facets' normals leaves every other sample of
-    all n strictly above it. Each margin is _CERT_RTOL times the slack's
-    scale. None when "Q0" raises or any candidate is left undecided, counted
-    in stats["undecided"] (all of them where "Q0" raises).
+    cloud holds (x, v, |x|^2/2) per sample, near holds cand, and the hull is
+    _lifted_hull's of near's lift (x, v + a q). A candidate is out of contact
+    when it is no lower vertex and lies strictly inside every lower facet
+    (more samples only lower the envelope), in contact when it is one and the
+    plane normal to N, its lower facets' summed normal, passes the support
+    certificate; both margins must exceed 1. None where near's lift is flat
+    or any candidate is undecided; stats["undecided"] counts those (all where flat).
     """
-    d = points.shape[1]
-    cloud = np.column_stack([points, lifted])
+    d = cloud.shape[1] - 2
     idx = np.flatnonzero(near)
-    hull = _q0_hull(cloud[idx], stats)
+
+    def lift(rows):
+        return np.column_stack([cloud[rows, :d], cloud[rows, d] + a * cloud[rows, d + 1]])
+    hull, _ = _lifted_hull(lift(idx), d, stats)
     if hull is None:
         stats["undecided"] += len(cand)
         return None
@@ -516,17 +518,16 @@ def _neighbourhood_contact(points: np.ndarray, lifted: np.ndarray, cand: np.ndar
     vertex = vertex[local]
 
     # out of contact: -(n . p + offset) > 0 for every lower facet (unit n)
-    K = -np.column_stack([cloud[cand[~vertex]], np.ones((~vertex).sum())])
-    below = _least_slack(K, E.T) > _CERT_RTOL * (np.abs(K) @ np.abs(E).max(axis=0))
+    K = -np.column_stack([lift(cand[~vertex]), np.ones((~vertex).sum())])
+    below = _least_slack(K, E.T) > 1.0
 
-    # in contact: N . (p_i - p_k) > 0 for every k != i, N the summed lower normals
+    # in contact: the plane normal to N has slope -N_x/N_z = p + a x_i
     owner = simplices.ravel()
     N = np.column_stack([np.bincount(owner, np.repeat(E[:, c], d + 1), len(idx))[local[vertex]]
                          for c in range(d + 1)])
     at = cand[vertex]
-    K = np.column_stack([-N, (N * cloud[at]).sum(axis=1)])
-    cols = np.vstack([cloud.T, np.ones(len(cloud))])
-    above = _least_slack(K, cols, skip=at) > _CERT_RTOL * (np.abs(K) @ np.abs(cols).max(axis=1))
+    p = -N[:, :d] / N[:, d:] - a * cloud[at, :d]
+    above = _support_margin(cloud, d, at, np.full(len(at), a), p) > 1.0
 
     undecided = int((~below).sum() + (~above).sum())
     stats["undecided"] += undecided
@@ -572,8 +573,26 @@ def a_convex_envelope(v: GridFunction, a: float) -> EnvelopeResult:
     pts, _, inside = v._coords()
     pts = pts[inside] - v.center
     _require_resolved(a, pts, v.spacing)
-    env_in, on_hull, stats = _contact(pts, v.values.ravel()[inside], a, need_values=True)
-    return EnvelopeResult(opening=float(a), envelope=v._scatter(inside, env_in, np.nan),
+    values = v.values.ravel()[inside]
+    stats = dict(hull_calls=0, hull_points=0, q0_raised=0, q0_rejected=0, lower_facets=0)
+    hull, on_hull = _contact(pts, values, a, stats)
+    # the lift where it touches or is flat, elsewhere the largest plane of the
+    # downward facets, z(x) = -(offset + n_x . x) / n_z, in blocks of ~8 MB
+    shift = 0.5 * a * (pts ** 2).sum(axis=1)
+    env = values + shift
+    if hull is not None:
+        off = ~on_hull
+        off_pts = pts[off]
+        best = np.full(len(off_pts), -np.inf)
+        d = pts.shape[1]
+        E = hull.equations[hull.equations[:, d] < -_VERTICAL_TOL]
+        block = max(1, int(1_000_000 // max(1, len(off_pts))))
+        for s in range(0, len(E), block):
+            chunk = E[s:s + block]
+            z = -(chunk[:, :d] @ off_pts.T + chunk[:, d + 1][:, None]) / chunk[:, d][:, None]
+            best = np.maximum(best, z.max(axis=0))
+        env[off] = np.minimum(best, env[off])
+    return EnvelopeResult(opening=float(a), envelope=v._scatter(inside, env - shift, np.nan),
                           contact_mask=v._scatter(inside, on_hull, False), stats=stats)
 
 
@@ -656,10 +675,17 @@ def _exact_theta(points: np.ndarray, values: np.ndarray, floor: np.ndarray, near
             theta[corners] = 0.0
             return theta, theta, stats | no_hull
         rows, r, slope, dual, contact_facets = _theta_proposals(hull, idx, cloud, d, need)
-        # every sample is in contact at a large enough opening, so one that no
-        # facet with c_v > 0 touches fails
+        # hi = max(r, 0) holds where its paraboloid, with the proposal's slope,
+        # passes the support certificate; lo, the dual bound capped at hi where
+        # r > 0 (else 0), must agree with it. A sample no facet with c_v > 0
+        # touches fails: every sample is in contact at a large enough opening
         lo, hi, ok = np.zeros(n), np.zeros(n), ~need
-        lo[rows], hi[rows], ok[rows] = _theta_certificate(cloud, d, rows, r, slope, dual)
+        hi[rows] = a = np.maximum(r, 0.0)
+        lo[rows] = np.where(r > 0.0, np.minimum(dual, a), 0.0)
+        gap = np.where(r > 0.0, np.abs(a - dual), 0.0)
+        p = -(slope + r[:, None] * cloud[rows, :d])
+        ok[rows] = ((_support_margin(cloud, d, rows, a, p) >= -1.0)
+                    & (gap <= _CERT_RTOL * np.maximum(1.0, a)))
         failed = int((~ok).sum())
         if not failed:
             return lo, hi, stats | no_hull | dict(hull_facets=len(hull.simplices),
@@ -718,31 +744,6 @@ def _theta_proposals(hull, idx: np.ndarray, cloud: np.ndarray, d: int, need: np.
     return touched, best[touched], slope[facet[first]], dual[touched], int(up.sum())
 
 
-def _theta_certificate(cloud: np.ndarray, d: int, rows: np.ndarray, r: np.ndarray,
-                       slope: np.ndarray, dual: np.ndarray):
-    """(lo, hi, ok) at the samples rows from their proposals, each checked against all samples.
-
-    hi = max(r, 0) holds when the paraboloid of that opening, with the slope
-    the proposal gives at x_i, stays below every sample (primal); lo is the
-    dual bound, capped at hi, where r > 0, else 0. ok: both hold to _CERT_RTOL.
-    """
-    n = len(cloud)
-    points, values, q = cloud[:, :d], cloud[:, d], cloud[:, d + 1]
-    # slack_ij = K_i . (v_j, q_j, x_j, 1), blockwise
-    a = np.maximum(r, 0.0)
-    x = points[rows]
-    p = -(slope + r[:, None] * x)
-    m = a[:, None] * x + p
-    const = -values[rows] + a * q[rows] + (p * x).sum(axis=1)
-    K = np.column_stack([np.ones(len(r)), a, -m, const])
-    feats = np.column_stack([values, q, points, np.ones(n)])
-    scale = np.abs(K) @ np.abs(feats).max(axis=0) + np.abs(p).sum(axis=1) * np.abs(points).max()
-    worst = _least_slack(K, feats.T)
-    lo = np.where(r > 0.0, np.minimum(dual, a), 0.0)
-    gap = np.where(r > 0.0, np.abs(a - dual), 0.0)
-    return lo, a, (worst >= -_CERT_RTOL * scale) & (gap <= _CERT_RTOL * np.maximum(1.0, a))
-
-
 def tail_distribution(theta: ThetaField, restrict_radius: float,
                       t_grid: np.ndarray) -> TailDistribution:
     """Measures |{Theta > t} ∩ B_restrict| and their log-log power-law fit.
@@ -786,13 +787,7 @@ def _decay_masks(shape: tuple, inside: np.ndarray, points: np.ndarray, values: n
     neighbourhood holds over _NEAR_SHARE of the samples, or leaves any of them
     undecided, the opening's full _contact decides.
     """
-    def full(a):
-        _, mask, hull_stats = _contact(points, values, a, need_values=False)
-        for k, c in hull_stats.items():
-            stats[k] += c
-        return mask
-
-    shift = 0.5 * (points ** 2).sum(axis=1)
+    cloud = np.column_stack([points, values, 0.5 * (points ** 2).sum(axis=1)])
     on_hull = values == values.min()
     stats["floor"] = int(on_hull.sum())
     if on_hull.all():
@@ -805,9 +800,9 @@ def _decay_masks(shape: tuple, inside: np.ndarray, points: np.ndarray, values: n
             if near is None:
                 stats["undecided"] += len(cand)
             else:
-                touched = _neighbourhood_contact(points, values + a * shift, cand, near, stats)
+                touched = _neighbourhood_contact(cloud, a, cand, near, stats)
             if touched is None:
-                on_hull = full(a)
+                on_hull = _contact(points, values, a, stats)[1]
             else:
                 on_hull = on_hull.copy()    # the mask yielded last stays as it was
                 on_hull[cand[touched]] = True

@@ -44,7 +44,8 @@ def test_gridfunction_validation():
     valid = dict(dim=1, shape=(5,), spacing=0.1, center=(0.0,), domain_radius=1.0,
                  values=np.zeros(5))
     for key, wrong in (("spacing", 0.0), ("center", (0.0, 0.0)), ("domain_radius", 0.0),
-                       ("values", np.zeros(4)), ("dim", 2.0)):
+                       ("values", np.zeros(4)), ("dim", 2.0), ("shape", (5.7,)),
+                       ("shape", 5), ("center", 0.0)):
         with pytest.raises(h.GridFormatError, match=key):
             h.GridFunction(**{**valid, key: wrong})
 
@@ -429,7 +430,9 @@ def test_contact_mask_equals_merged_hull():
         pts, _, inside = g._coords()
         pts, vals = pts[inside], g.values.ravel()[inside]
         for a in openings:
-            _, mask, stats = lab._contact(pts, vals, a, need_values=False)
+            stats = dict(hull_calls=0, hull_points=0, q0_raised=0, q0_rejected=0,
+                         lower_facets=0)
+            _, mask = lab._contact(pts, vals, a, stats)
             lifted = vals + 0.5 * a * (pts ** 2).sum(axis=1)
             assert np.array_equal(mask, _merged_mask(pts, lifted)), (g.shape, a)
             assert (stats["hull_calls"], stats["q0_raised"], stats["q0_rejected"]) == \
@@ -1032,15 +1035,15 @@ def _masks_and_full(monkeypatch, g, openings, stats):
     # _contact hull, and one full _contact per opening
     contact, full = lab._contact, []
 
-    def recorded(points, values, a, need_values):
+    def recorded(points, values, a, hull_stats):
         full.append(a)
-        return contact(points, values, a, need_values)
+        return contact(points, values, a, hull_stats)
     pts, _, inside = g._coords()
     pts, vals = pts[inside] - g.center, g.values.ravel()[inside]
     with monkeypatch.context() as patch:
         patch.setattr(lab, "_contact", recorded)
         masks = list(lab._decay_masks(g.shape, inside, pts, vals, openings, stats))
-    return masks, full, [contact(pts, vals, a, False)[1] for a in openings]
+    return masks, full, [contact(pts, vals, a, _decay_stats())[1] for a in openings]
 
 
 def _decay_stats():
@@ -1125,9 +1128,85 @@ def test_neighbourhood_leaves_a_candidate_within_the_margin_undecided(monkeypatc
             return ConvexHull(cloud, qhull_options=qhull_options)
         monkeypatch.setattr(lab, "ConvexHull", hull)
         stats = dict(hull_calls=0, hull_points=0, q0_raised=0, lower_facets=0, undecided=0)
-        got = lab._neighbourhood_contact(x, lifted, np.array([k]), np.ones(len(x), bool), stats)
+        got = lab._neighbourhood_contact(np.column_stack([x, lifted, 0.5 * x ** 2]), 0.0,
+                                         np.array([k]), np.ones(len(x), bool), stats)
         assert (got if got is None else got.tolist()) == want, offset
         assert stats["undecided"] == (want is None), offset
+
+
+def test_neighbourhood_leaves_a_vertex_within_the_margin_undecided():
+    # the middle sample of a convex 1-d lift moved 1e-13 below the chord of
+    # its neighbours: a lower vertex of the "Q0" hull, whose support plane
+    # leaves the neighbours within the 1e-12 margin, so it is not called in
+    # contact; 1e-3 below, it is
+    x, k = np.linspace(-1.0, 1.0, 9)[:, None], 4
+    for offset, want in ((-1e-13, None), (-1e-3, [True])):
+        lifted = x[:, 0] ** 2 + 1.0
+        lifted[k] = 0.5 * (lifted[k - 1] + lifted[k + 1]) + offset
+        assert k in ConvexHull(np.column_stack([x, lifted]), qhull_options="Q0").vertices
+        stats = dict(hull_calls=0, hull_points=0, q0_raised=0, lower_facets=0, undecided=0)
+        got = lab._neighbourhood_contact(np.column_stack([x, lifted, 0.5 * x ** 2]), 0.0,
+                                         np.array([k]), np.ones(len(x), bool), stats)
+        assert (got if got is None else got.tolist()) == want, offset
+        assert stats["undecided"] == (want is None), offset
+
+
+def test_neighbourhood_whose_q0_raises_gets_qx_or_the_full_hull(monkeypatch):
+    # "Q0" is made to raise on every neighbourhood (a cloud short of the
+    # grid's samples), never on the full cloud. The shifted 33^2 bump's
+    # neighbourhood lifts are not flat: each opening is decided by the "Qx"
+    # hull, with the lower facets the "Q0" hulls had. The README plateau
+    # shrunk to radius 1.2e-4 (v scaled by its square, plus 100) lifts within
+    # 1e-7, 1e-9 of its size, of a plane on each neighbourhood: flat, which
+    # decides nothing, so each opening with candidates gets its full hull
+    def raising(n):
+        def hull(cloud, qhull_options=None):
+            if qhull_options == "Q0" and len(cloud) < n:
+                raise QhullError("forced on a neighbourhood")
+            return ConvexHull(cloud, qhull_options=qhull_options)
+        return hull
+
+    rho, openings = 1.2e-4, 2.0 ** np.arange(8)
+    bump = h.capped_bump(h.RadialProfile(3, 1.0, 0.35, 1.0, 2.0), 33,
+                         centre=(1.0 / 32.0, -1.0 / 32.0))
+    small = h.grid_from_callable(
+        lambda p: 100.0 + np.maximum(-rho ** 2, -8.0 * (p ** 2).sum(axis=1)), 2, 33,
+        domain_radius=rho)
+    runs = []
+    for g in (bump, small):
+        plain = _decay_stats()
+        _masks_and_full(monkeypatch, g, openings, plain)
+        stats = _decay_stats()
+        with monkeypatch.context() as patch:
+            patch.setattr(lab, "ConvexHull", raising(int(g.inside_mask().sum())))
+            masks, full, want = _masks_and_full(monkeypatch, g, openings, stats)
+        assert all(np.array_equal(m, w) for m, w in zip(masks, want)), g.shape
+        runs.append((plain, full, stats))
+    plain, full, stats = runs[0]
+    assert full == [] and stats == plain | dict(
+        hull_calls=16, hull_points=2 * plain["hull_points"], q0_raised=8)
+    assert (plain["hull_calls"], plain["q0_raised"], plain["undecided"]) == (8, 0, 0)
+    # six openings have candidates; the full hull at 16, the plateau's flat
+    # face, is rebuilt as in test_decay_masks_equal_one_full_hull_per_opening
+    _, full, stats = runs[1]
+    assert full == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
+    assert (stats["hull_calls"], stats["q0_raised"], stats["q0_rejected"],
+            stats["undecided"]) == (13, 6, 1, 574)
+
+
+def test_support_margin_leaves_out_the_sample_itself():
+    # on v = |x|^2 the paraboloid of opening a with the tangent slope 2 x_i
+    # leaves every other sample (1 + a/2)|x_j - x_i|^2 >= h^2 above it, so
+    # the margin is far above 1 at every sample, though the sample itself
+    # sits on its paraboloid
+    g = h.grid_from_callable(lambda p: (p ** 2).sum(axis=1), 2, 9, domain_radius=1.0)
+    pts, _, inside = g._coords()
+    pts = pts[inside]
+    cloud = np.column_stack([pts, g.values.ravel()[inside], 0.5 * (pts ** 2).sum(axis=1)])
+    rows = np.arange(len(pts))
+    for a in (0.0, 1.0):
+        margin = lab._support_margin(cloud, 2, rows, np.full(len(rows), a), 2.0 * pts)
+        assert (margin > 1.0).all(), a
 
 
 def test_dilated_marks_the_cells_two_steps_away_along_every_axis():
@@ -1157,11 +1236,11 @@ def test_decay_fallback_error_is_raised_as_it_is(monkeypatch):
     # hull built before it
     contact, error, built = lab._contact, h.GeometryError("forced at opening 16"), []
 
-    def failing(points, values, a, need_values):
+    def failing(points, values, a, stats):
         if a == 16.0:
             raise error
         built.append(a)
-        return contact(points, values, a, need_values)
+        return contact(points, values, a, stats)
     monkeypatch.setattr(lab, "_contact", failing)
     g = h.grid_from_callable(lambda p: np.maximum(-8.0 * (p ** 2).sum(axis=1), -1.0), 2, 65)
     with pytest.raises(h.GeometryError) as info:
@@ -1176,8 +1255,9 @@ def test_decay_partial_report_sums_the_counters():
     g = h.grid_from_callable(lambda p: (p ** 2).sum(axis=1), 2, 33, domain_radius=1.0)
     pts, _, inside = g._coords()
     n = int(inside.sum())
-    want = lab._contact(pts[inside], g.values.ravel()[inside], 1.0, False)[2] | {
-        "undecided": n - 1, "floor": 1}
+    want = dict(hull_calls=0, hull_points=0, q0_raised=0, q0_rejected=0, lower_facets=0)
+    lab._contact(pts[inside], g.values.ravel()[inside], 1.0, want)
+    want |= {"undecided": n - 1, "floor": 1}
     with pytest.raises(h.DegenerateData) as exc:
         h.decay_experiment(g, 1.0, 5, h.Ellipticity(2, 2.0, 1))
     assert exc.value.report.stats == want and want["hull_calls"] == 1
