@@ -8,31 +8,36 @@ set (where the envelope touches v) drives two experiments: the measure-decay
 iteration in the opening, and the pointwise minimal opening Theta whose
 super-level sets give the Hessian integrability tail.
 
-Theta, the envelope's contact mask and the decay counts share one contact
-test: the lifted sample is a vertex of a downward facet of the lower hull.
-Samples strictly inside a flat facet touch yet count as contact only at larger a.
+Theta, decay and the envelope read one cloud per experiment (_ball_cloud):
+the rows (x, v, q), q = |x|^2/2, of the samples inside the ball, with x
+taken about the grid's centre. Its lift at opening a is (x, v + a q)
+(_lift), and a paraboloid of opening a touches v from below at a sample
+exactly when the lifted sample is a vertex of a downward facet of the lower
+hull: the one contact test of Theta, the envelope's contact mask and the
+decay counts. Samples strictly inside a flat facet touch yet count as
+contact only at larger a. Moving x by a constant changes the lift by an
+affine function only, so no result depends on where the grid sits.
 
-All of them come from qhull hulls of lifted samples, built by _lifted_hull
-with one qhull policy and one counter set. The lower hull of
-(x, v + (a/2)|x|^2) in R^(d+1), d = 1, 2, 3, gives the contact mask and the
-exact a-convex envelope: at every sample, the maximum over the supporting
-planes of the downward-facing facets (each minorizes the hull function
-globally and is attained on its facet). A hull of (x, v, |x|^2/2) in
-R^(d+2) gives Theta exactly, read off its facet normals and certified by LP
-duality (see theta_field). An iterated direction-sweep scheme was considered
-and rejected: it converges to the separately-convex envelope, which on
-generic 2-D data sits order-one above the true envelope.
+All of them come from qhull hulls, built by _lifted_hull with one qhull
+policy and one counter set. The lower hull of the lift in R^(d+1),
+d = 1, 2, 3, gives the contact mask and the exact a-convex envelope: at
+every sample, the maximum over the supporting planes of the downward-facing
+facets (each minorizes the hull function globally and is attained on its
+facet). The hull of the cloud itself in R^(d+2) gives Theta exactly, read
+off its facet normals and certified by LP duality (see theta_field). An
+iterated direction-sweep scheme was considered and rejected: it converges to
+the separately-convex envelope, which on generic 2-D data sits order-one
+above the true envelope.
 
 The samples at the grid's minimum (the floor) are in contact at every
 opening a > 0, so they need no hull: Theta and decay hull only the samples
 within _NEAR_CELLS cells of the rest, and check what that hull proposes
 against every sample with one support certificate (_support_margin). The
 paraboloid v_i + p.(x - x_i) - (a/2)|x - x_i|^2 stays below every other
-sample exactly when the plane through the lifted sample (x_i, v_i + a q_i),
-q = |x|^2/2, with slope p + a x_i stays below every other lifted sample:
-Theta proposes the paraboloid, decay the plane. The full hull decides only
-where that neighbourhood holds over _NEAR_SHARE of the samples or leaves any
-undecided.
+sample exactly when the plane through the lifted sample (x_i, v_i + a q_i)
+with slope p + a x_i stays below every other lifted sample: Theta proposes
+the paraboloid, decay the plane. The full hull decides only where that
+neighbourhood holds over _NEAR_SHARE of the samples or leaves any undecided.
 """
 
 from __future__ import annotations
@@ -136,7 +141,7 @@ class GridFunction:
         # all flat and from one meshgrid
         pts = self.points()
         d2 = ((pts - np.asarray(self.center)) ** 2).sum(axis=1)
-        return pts, d2, d2 <= self.domain_radius ** 2 + 1e-12
+        return pts, d2, d2 <= self.domain_radius ** 2 * (1.0 + 1e-12)
 
     @property
     def cell_measure(self) -> float:
@@ -378,16 +383,29 @@ def _merged_hull(cloud: np.ndarray, stats: dict):
             f"qhull failed on a lift of {len(cloud)} samples that is not flat") from exc
 
 
-def _contact(points: np.ndarray, values: np.ndarray, a: float, stats: dict):
-    """Lower hull of values + (a/2)|x|^2 and the contact mask: (hull, or None where flat, mask).
+def _ball_cloud(v: GridFunction) -> tuple[np.ndarray, np.ndarray]:
+    """The rows (x, v, |x|^2/2) of the samples inside the ball, x taken about the
+    grid's centre, and the flat inside flags of all samples."""
+    pts, _, inside = v._coords()
+    x = pts[inside] - v.center
+    return np.column_stack([x, v.values.ravel()[inside], 0.5 * (x ** 2).sum(axis=1)]), inside
+
+
+def _lift(cloud: np.ndarray, a: float) -> np.ndarray:
+    """The rows (x, v + a q) of cloud's rows (x, v, q): its lift at opening a."""
+    return np.column_stack([cloud[:, :-2], cloud[:, -2] + a * cloud[:, -1]])
+
+
+def _contact(cloud: np.ndarray, a: float, stats: dict):
+    """Lower hull of cloud's lift at a and the contact mask: (hull, or None where flat, mask).
 
     The mask marks vertices of downward facets (the x-hull corners where the
     lift is flat: one facet). If _extreme_at refuses a "Q0" hull's marked
     vertices, the merged hull decides. Counts into stats: _lifted_hull's,
     q0_rejected (that rebuild) and lower_facets.
     """
-    n, d = points.shape
-    cloud = np.column_stack([points, values + 0.5 * a * (points ** 2).sum(axis=1)])
+    n, d = len(cloud), cloud.shape[1] - 2
+    lifted = _lift(cloud, a)
 
     def lower_vertices(hull):
         mask = np.zeros(n, dtype=bool)
@@ -395,15 +413,15 @@ def _contact(points: np.ndarray, values: np.ndarray, a: float, stats: dict):
         return mask
 
     raised = stats["q0_raised"]
-    hull, _ = _lifted_hull(cloud, d, stats)
+    hull, _ = _lifted_hull(lifted, d, stats)
     if hull is None:
         on_hull = np.zeros(n, dtype=bool)
-        on_hull[_corners(points)] = True
+        on_hull[_corners(cloud[:, :d])] = True
         return None, on_hull
     on_hull = lower_vertices(hull)
     if stats["q0_raised"] == raised and not _extreme_at(hull, np.flatnonzero(on_hull)):
         stats["q0_rejected"] += 1
-        hull = _merged_hull(cloud, stats)
+        hull = _merged_hull(lifted, stats)
         on_hull = lower_vertices(hull)
     stats["lower_facets"] += int((hull.equations[:, d] < -_VERTICAL_TOL).sum())
     return hull, on_hull
@@ -488,24 +506,21 @@ def _near(shape: tuple, inside: np.ndarray, cand: np.ndarray):
     return None if near.sum() > _NEAR_SHARE * len(near) else near
 
 
-def _neighbourhood_contact(cloud: np.ndarray, a: float, cand: np.ndarray, near: np.ndarray,
-                           stats: dict):
+def _neighbourhood_contact(cloud: np.ndarray, a: float, cand: np.ndarray, near, stats: dict):
     """Contact at opening a of the samples cand, from the hull of the samples near, or None.
 
-    cloud holds (x, v, |x|^2/2) per sample, near holds cand, and the hull is
-    _lifted_hull's of near's lift (x, v + a q). A candidate is out of contact
+    near holds cand, or is None (_near's answer past _NEAR_SHARE), and the
+    hull is _lifted_hull's of near's lift. A candidate is out of contact
     when it is no lower vertex and lies strictly inside every lower facet
     (more samples only lower the envelope), in contact when it is one and the
     plane normal to N, its lower facets' summed normal, passes the support
-    certificate; both margins must exceed 1. None where near's lift is flat
-    or any candidate is undecided; stats["undecided"] counts those (all where flat).
+    certificate; both margins must exceed 1. None where near is None, its
+    lift is flat or any candidate is undecided; stats["undecided"] counts
+    those (all in the first two cases).
     """
     d = cloud.shape[1] - 2
-    idx = np.flatnonzero(near)
-
-    def lift(rows):
-        return np.column_stack([cloud[rows, :d], cloud[rows, d] + a * cloud[rows, d + 1]])
-    hull, _ = _lifted_hull(lift(idx), d, stats)
+    idx = None if near is None else np.flatnonzero(near)
+    hull = None if idx is None else _lifted_hull(_lift(cloud[idx], a), d, stats)[0]
     if hull is None:
         stats["undecided"] += len(cand)
         return None
@@ -518,7 +533,7 @@ def _neighbourhood_contact(cloud: np.ndarray, a: float, cand: np.ndarray, near: 
     vertex = vertex[local]
 
     # out of contact: -(n . p + offset) > 0 for every lower facet (unit n)
-    K = -np.column_stack([lift(cand[~vertex]), np.ones((~vertex).sum())])
+    K = -np.column_stack([_lift(cloud[cand[~vertex]], a), np.ones((~vertex).sum())])
     below = _least_slack(K, E.T) > 1.0
 
     # in contact: the plane normal to N has slope -N_x/N_z = p + a x_i
@@ -534,16 +549,15 @@ def _neighbourhood_contact(cloud: np.ndarray, a: float, cand: np.ndarray, near: 
     return None if undecided else vertex
 
 
-def _require_resolved(a: float, points: np.ndarray, spacing: float, context: str = "") -> None:
-    """DomainError unless a R^3 eps <= h^2/K, K = 4096 (R the largest |x|, h the spacing).
-
-    x is taken about the grid's centre, as _contact lifts it.
+def _require_resolved(a: float, cloud: np.ndarray, spacing: float, context: str = "") -> None:
+    """DomainError unless a R^3 eps <= h^2/K, K = 4096 (R the largest |x| of the
+    cloud, so about the grid's centre, h the spacing).
 
     Beyond, rounding at the lift's size a R^2/2 swamps a sample's gap to its neighbours'
     facets (about h^2/R): on 1-3-D grids contact first went wrong from K = 64 down to 10.
     """
     limit = spacing ** 2 / (_LIFT_RESOLUTION * np.finfo(float).eps)
-    if a * float(np.sqrt((points ** 2).sum(axis=1).max())) ** 3 > limit:
+    if a * float(np.sqrt(2.0 * cloud[:, -1].max())) ** 3 > limit:
         raise DomainError(f"opening {a:.6g}{context} is past the lift's resolution on this "
                           f"grid: contact needs a R^3 eps <= h^2/{_LIFT_RESOLUTION}")
 
@@ -561,30 +575,25 @@ def a_convex_envelope(v: GridFunction, a: float) -> EnvelopeResult:
     """Envelope by paraboloids of opening -a and its contact set.
 
     Uses the shift identity: the a-convex envelope equals the convex envelope
-    of v + (a/2)|x|^2 minus (a/2)|x|^2. Contact is the module's hull-vertex test.
-    The lift is taken about the grid's centre: it differs from the lift about
-    the origin by an affine function, which leaves the envelope and the
-    contact set unchanged, and its size no longer grows with the centre's.
-    An opening with a R^3 eps > h^2/4096, R the largest |x - center| and h
-    the spacing, is past the lift's resolution: a DomainError (see
-    _require_resolved).
+    of v + (a/2)|x|^2 minus (a/2)|x|^2, x about the grid's centre (see the
+    module docstring). Contact is the module's hull-vertex test. An opening
+    with a R^3 eps > h^2/4096, R the largest |x - center| and h the spacing,
+    is past the lift's resolution: a DomainError (see _require_resolved).
     """
     require_finite("a", a, 0.0)
-    pts, _, inside = v._coords()
-    pts = pts[inside] - v.center
-    _require_resolved(a, pts, v.spacing)
-    values = v.values.ravel()[inside]
+    cloud, inside = _ball_cloud(v)
+    _require_resolved(a, cloud, v.spacing)
     stats = dict(hull_calls=0, hull_points=0, q0_raised=0, q0_rejected=0, lower_facets=0)
-    hull, on_hull = _contact(pts, values, a, stats)
+    hull, on_hull = _contact(cloud, a, stats)
     # the lift where it touches or is flat, elsewhere the largest plane of the
     # downward facets, z(x) = -(offset + n_x . x) / n_z, in blocks of ~8 MB
-    shift = 0.5 * a * (pts ** 2).sum(axis=1)
-    env = values + shift
+    d = v.dim
+    shift = a * cloud[:, d + 1]
+    env = cloud[:, d] + shift
     if hull is not None:
         off = ~on_hull
-        off_pts = pts[off]
+        off_pts = cloud[off, :d]
         best = np.full(len(off_pts), -np.inf)
-        d = pts.shape[1]
         E = hull.equations[hull.equations[:, d] < -_VERTICAL_TOL]
         block = max(1, int(1_000_000 // max(1, len(off_pts))))
         for s in range(0, len(E), block):
@@ -599,7 +608,7 @@ def a_convex_envelope(v: GridFunction, a: float) -> EnvelopeResult:
 def theta_field(v: GridFunction, a_max: float, bisect_tol: float | None = None) -> ThetaField:
     """Exact minimal contact opening per point, from hulls in R^(d+2) checked against the data.
 
-    Lift sample j to y_j = (x_j, v_j, q_j) with q = |x|^2/2. Sample i is in
+    Sample j is the cloud's row y_j = (x_j, v_j, q_j) (see _ball_cloud). Sample i is in
     contact at opening a exactly when it strictly minimises v + a q - p.x over
     the cloud for some p, that is when (-p, 1, a) lies inside the normal cone
     of y_i in conv{y_j}. That cone is spanned by the inward normals
@@ -630,41 +639,38 @@ def theta_field(v: GridFunction, a_max: float, bisect_tol: float | None = None) 
     """
     require_positive("a_max", a_max)
 
-    pts, d2, inside = v._coords()
-    values = v.values.ravel()[inside]
-    floor = values == values.min()
-    lo, hi, stats = _exact_theta(pts[inside], values, floor, _near(v.shape, inside, ~floor))
-    converged = hi <= a_max
-    d_to_boundary = v.domain_radius - np.sqrt(d2)
-    interior = (d_to_boundary >= 2.0 * v.spacing) & inside
+    cloud, inside = _ball_cloud(v)
+    d = v.dim
+    floor = cloud[:, d] == cloud[:, d].min()
+    lo, hi, stats = _exact_theta(cloud, floor, _near(v.shape, inside, ~floor))
+    interior = v.domain_radius - np.sqrt(2.0 * cloud[:, d + 1]) >= 2.0 * v.spacing
     return ThetaField(
         theta=v._scatter(inside, hi, np.nan),
-        converged=v._scatter(inside, converged, False),
+        converged=v._scatter(inside, hi <= a_max, False),
         bracket_lo=v._scatter(inside, lo, np.nan),
         bracket_hi=v._scatter(inside, hi, np.nan),
-        interior=interior.reshape(v.shape),
+        interior=v._scatter(inside, interior, False),
         grid=v,
         stats=stats,
     )
 
 
-def _exact_theta(points: np.ndarray, values: np.ndarray, floor: np.ndarray, near):
-    """Certified (lo, hi) bounds on Theta per sample, and the counters (see ThetaField).
+def _exact_theta(cloud: np.ndarray, floor: np.ndarray, near):
+    """Certified (lo, hi) bounds on Theta per sample of cloud, and the counters (see ThetaField).
 
     floor flags samples at the minimum; near flags the samples whose hull
     proposes first, or is None (the full hull only).
     """
-    n, d = points.shape
-    corners = _corners(points)
+    n, d = len(cloud), cloud.shape[1] - 2
+    corners = _corners(cloud[:, :d])
     stats = dict(hull_calls=0, hull_points=0, q0_raised=0)
     no_hull = dict(hull_facets=0, contact_facets=0, certified=n, floor=int(floor.sum()))
-    if len(corners) == n:
-        # Theta = 0 at every x-hull vertex; with no sample left inside, the lift
-        # may span no hull (four square corners have equal q)
-        return np.zeros(n), np.zeros(n), stats | no_hull
-    cloud = np.column_stack([points, values, 0.5 * (points ** 2).sum(axis=1)])
     need = ~floor
     need[corners] = False
+    if not need.any():
+        # Theta = 0 on the floor and at every x-hull vertex; with no sample
+        # left, the cloud may span no hull (constant data, four square corners)
+        return np.zeros(n), np.zeros(n), stats | no_hull
     for idx in ([] if near is None else [np.flatnonzero(near)]) + [np.arange(n)]:
         hull, coef = _lifted_hull(cloud[idx], d, stats)
         if hull is None:
@@ -762,7 +768,7 @@ def tail_distribution(theta: ThetaField, restrict_radius: float,
         raise DomainError("t_grid must be a strictly increasing, finite, positive 1-D array")
     g = theta.grid
     _, d2, inside = g._coords()
-    region = ((d2 <= restrict_radius ** 2 + 1e-12) & inside).reshape(g.shape)
+    region = ((d2 <= restrict_radius ** 2 * (1.0 + 1e-12)) & inside).reshape(g.shape)
     field = np.where(region, theta.theta, -np.inf)
     measures = np.array([(field > t).sum() * g.cell_measure for t in t_grid])
 
@@ -774,8 +780,8 @@ def tail_distribution(theta: ThetaField, restrict_radius: float,
     return TailDistribution(thresholds=t_grid, measures=measures, fitted_exponent=float(slope))
 
 
-def _decay_masks(shape: tuple, inside: np.ndarray, points: np.ndarray, values: np.ndarray,
-                 openings: np.ndarray, stats: dict):
+def _decay_masks(shape: tuple, inside: np.ndarray, cloud: np.ndarray, openings: np.ndarray,
+                 stats: dict):
     """The contact mask at each opening in turn, as _contact's, counted into stats.
 
     Contact only grows with the opening: a plane strictly supporting the lift
@@ -787,22 +793,17 @@ def _decay_masks(shape: tuple, inside: np.ndarray, points: np.ndarray, values: n
     neighbourhood holds over _NEAR_SHARE of the samples, or leaves any of them
     undecided, the opening's full _contact decides.
     """
-    cloud = np.column_stack([points, values, 0.5 * (points ** 2).sum(axis=1)])
-    on_hull = values == values.min()
+    d = cloud.shape[1] - 2
+    on_hull = cloud[:, d] == cloud[:, d].min()
     stats["floor"] = int(on_hull.sum())
     if on_hull.all():
-        _corners(points)    # constant data builds no lifted hull, yet must span R^d
+        _corners(cloud[:, :d])    # constant data builds no lifted hull, yet must span R^d
     for a in openings.tolist():
         if not on_hull.all():
             cand = np.flatnonzero(~on_hull)
-            near = _near(shape, inside, cand)
-            touched = None
-            if near is None:
-                stats["undecided"] += len(cand)
-            else:
-                touched = _neighbourhood_contact(cloud, a, cand, near, stats)
+            touched = _neighbourhood_contact(cloud, a, cand, _near(shape, inside, cand), stats)
             if touched is None:
-                on_hull = _contact(points, values, a, stats)[1]
+                on_hull = _contact(cloud, a, stats)[1]
             else:
                 on_hull = on_hull.copy()    # the mask yielded last stays as it was
                 on_hull[cand[touched]] = True
@@ -830,12 +831,11 @@ def decay_experiment(v: GridFunction, delta: float, levels: int,
     require_int("levels", levels, 2)
 
     openings = (1.0 + delta) ** np.arange(levels + 1)
-    pts, _, inside = v._coords()
-    pts = pts[inside] - v.center  # lifted about the centre, as in a_convex_envelope
-    _require_resolved(openings[-1], pts, v.spacing, f" (delta={delta:g}, levels={levels})")
+    cloud, inside = _ball_cloud(v)
+    _require_resolved(openings[-1], cloud, v.spacing, f" (delta={delta:g}, levels={levels})")
     stats = dict(hull_calls=0, hull_points=0, q0_raised=0, q0_rejected=0, lower_facets=0,
                  undecided=0)
-    masks = _decay_masks(v.shape, inside, pts, v.values.ravel()[inside], openings, stats)
+    masks = _decay_masks(v.shape, inside, cloud, openings, stats)
     counts = np.array([(~on_hull).sum() * v.cell_measure for on_hull in masks])
 
     theoretical = 1.0 - c_star(e) * (1.0 + 1.0 / delta) ** (-e.n)

@@ -258,6 +258,19 @@ def test_theta_command(tmp_path, capsys):
     assert measures[-1] == 0.0
 
 
+def test_theta_of_constant_data_has_an_empty_tail(tmp_path, capsys):
+    # every sample is at the minimum: Theta = 0 with no hull, so every tail
+    # measure is 0
+    grid_path = tmp_path / "flat.json"
+    h.grid_from_callable(lambda p: np.full(len(p), 1.0), 2, 9).save(grid_path)
+    code, out, _ = run_cli(capsys, "theta", "--input", str(grid_path), "--a-max", "4",
+                           "--reproducible")
+    assert code == 0
+    comments, rows = parse_csv(out)
+    assert comments["theta_hull_calls"] == "0"
+    assert rows and all(float(r["measure"]) == 0.0 for r in rows)
+
+
 def test_theta_and_decay_count_the_floor(tmp_path, capsys):
     # on the capped bump most samples sit at the grid's minimum: they are
     # decided without a hull, and the hulls take fewer points than the ball holds

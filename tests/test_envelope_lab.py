@@ -427,12 +427,12 @@ def test_contact_mask_equals_merged_hull():
     # so the mask is the merged hull's, at generic and at critical openings
     corpus = _hull_corpus()
     for g, openings, critical, counts in corpus:
-        pts, _, inside = g._coords()
-        pts, vals = pts[inside], g.values.ravel()[inside]
+        cloud, _ = lab._ball_cloud(g)
+        pts, vals = cloud[:, :g.dim], cloud[:, g.dim]
         for a in openings:
             stats = dict(hull_calls=0, hull_points=0, q0_raised=0, q0_rejected=0,
                          lower_facets=0)
-            _, mask = lab._contact(pts, vals, a, stats)
+            _, mask = lab._contact(cloud, a, stats)
             lifted = vals + 0.5 * a * (pts ** 2).sum(axis=1)
             assert np.array_equal(mask, _merged_mask(pts, lifted)), (g.shape, a)
             assert (stats["hull_calls"], stats["q0_raised"], stats["q0_rejected"]) == \
@@ -717,11 +717,22 @@ def test_theta_does_not_grow_on_a_subgrid(lattice65, lattice65_theta):
     assert (coarse.theta[inside] <= fine[inside]).all()
 
 
+def test_theta_does_not_depend_on_where_the_grid_sits(lattice65, lattice65_theta):
+    # the cloud is taken about the grid's centre, and moving x by a constant
+    # changes the lift by an affine function only: at (1e4, 0) Theta's arrays
+    # and counters are the lattice's at the origin, bit for bit
+    moved = h.theta_field(replace(lattice65, center=(1e4, 0.0)), a_max=600.0)
+    for name in ("theta", "converged", "bracket_lo", "bracket_hi", "interior"):
+        assert np.array_equal(getattr(moved, name), getattr(lattice65_theta, name),
+                              equal_nan=True), name
+    assert moved.stats == lattice65_theta.stats
+
+
 def _full_path(g):
     # (lo, hi) of Theta from the full hull alone, in the order of the samples inside
-    pts, _, inside = g._coords()
-    values = g.values.ravel()[inside]
-    return lab._exact_theta(pts[inside], values, values == values.min(), None)[:2]
+    cloud, _ = lab._ball_cloud(g)
+    values = cloud[:, g.dim]
+    return lab._exact_theta(cloud, values == values.min(), None)[:2]
 
 
 def _floor_band(g):
@@ -780,6 +791,22 @@ def test_theta_falls_back_to_the_full_hull(bump33, monkeypatch):
         assert np.array_equal(got[inside], want)
 
 
+def test_theta_passes_over_a_flat_neighbourhood():
+    # v = 0 up to x = 0.3 and (x - 0.3)(x - 0.3 + h) beyond, h the spacing:
+    # 27 floor samples, and the 16 of the neighbourhood lie on one quadratic,
+    # whose lift is flat. That hull proposes nothing, and the full hull decides
+    step = 2.0 / 40
+
+    def v(p):
+        s = p[:, 0] - 0.3
+        return np.where(s < step / 2, 0.0, s * (s + step))
+    g = h.grid_from_callable(v, 1, 41)
+    tf = h.theta_field(g, a_max=8.0)
+    assert tf.stats["floor"] == 27
+    assert (tf.stats["hull_calls"], tf.stats["hull_points"], tf.stats["q0_raised"]) == (2, 57, 1)
+    _assert_matches_lp(tf, range(41))
+
+
 def test_theta_matches_lp_oracle_in_3d():
     # the extremal 3-d profile, alpha = (n-1) Lambda/lambda - 1: a 5-d hull
     g = h.capped_bump(h.RadialProfile(3, 3.0, 0.35, 1.0, 2.0), 17, centre=(0.0, 0.0, 0.0))
@@ -812,6 +839,37 @@ def test_theta_without_lifted_hull():
         assert tf.converged[inside].all()
         # one "Q0" build, which raised on the flat lift, and no hull used
         assert (tf.stats["hull_calls"], tf.stats["q0_raised"], tf.stats["hull_facets"]) == (1, 1, 0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_theta_of_constant_data_is_zero_without_a_hull(dim):
+    # every sample is floor: none needs a hull, though the cloud spans none
+    g = h.grid_from_callable(lambda p: np.full(len(p), 2.5), dim, 9)
+    tf = h.theta_field(g, a_max=1.0)
+    inside = g.inside_mask()
+    n = int(inside.sum())
+    for end in (tf.theta, tf.bracket_lo, tf.bracket_hi):
+        assert (end[inside] == 0.0).all()
+    assert tf.stats["hull_calls"] == 0
+    assert tf.stats["certified"] == tf.stats["floor"] == n
+
+
+@pytest.mark.parametrize("radius", [1.0, 1e3, 1e-5, 1e-6])
+def test_ball_slack_is_relative_to_the_radius(radius):
+    # |x - c|^2 <= R^2 (1 + 1e-12) admits the same 797 samples of a 33^2
+    # grid at every radius; an absolute 1e-12 admitted 805 at 1e-5 and all
+    # 1,089 at 1e-6. tail_distribution's region of the same radius, on a ball
+    # twice as large, holds the same samples
+    g = h.grid_from_callable(lambda p: np.zeros(len(p)), 2, 33, domain_radius=radius)
+    assert g.inside_mask().sum() == 797
+    g = replace(g, domain_radius=2.0 * radius, values=np.zeros(g.shape))
+    inside = g.inside_mask()
+    assert inside.all()
+    ones = np.ones(g.shape)
+    tf = h.ThetaField(theta=ones, converged=inside, bracket_lo=ones, bracket_hi=ones,
+                      interior=inside, grid=g)
+    tail = h.tail_distribution(tf, radius, [0.5, 2.0])
+    assert tail.measures.tolist() == [797 * g.cell_measure, 0.0]
 
 
 def _failing_hull(fail):
@@ -1035,15 +1093,14 @@ def _masks_and_full(monkeypatch, g, openings, stats):
     # _contact hull, and one full _contact per opening
     contact, full = lab._contact, []
 
-    def recorded(points, values, a, hull_stats):
+    def recorded(cloud, a, hull_stats):
         full.append(a)
-        return contact(points, values, a, hull_stats)
-    pts, _, inside = g._coords()
-    pts, vals = pts[inside] - g.center, g.values.ravel()[inside]
+        return contact(cloud, a, hull_stats)
+    cloud, inside = lab._ball_cloud(g)
     with monkeypatch.context() as patch:
         patch.setattr(lab, "_contact", recorded)
-        masks = list(lab._decay_masks(g.shape, inside, pts, vals, openings, stats))
-    return masks, full, [contact(pts, vals, a, _decay_stats())[1] for a in openings]
+        masks = list(lab._decay_masks(g.shape, inside, cloud, openings, stats))
+    return masks, full, [contact(cloud, a, _decay_stats())[1] for a in openings]
 
 
 def _decay_stats():
@@ -1236,11 +1293,11 @@ def test_decay_fallback_error_is_raised_as_it_is(monkeypatch):
     # hull built before it
     contact, error, built = lab._contact, h.GeometryError("forced at opening 16"), []
 
-    def failing(points, values, a, stats):
+    def failing(cloud, a, stats):
         if a == 16.0:
             raise error
         built.append(a)
-        return contact(points, values, a, stats)
+        return contact(cloud, a, stats)
     monkeypatch.setattr(lab, "_contact", failing)
     g = h.grid_from_callable(lambda p: np.maximum(-8.0 * (p ** 2).sum(axis=1), -1.0), 2, 65)
     with pytest.raises(h.GeometryError) as info:
@@ -1253,10 +1310,10 @@ def test_decay_partial_report_sums_the_counters():
     # the centre, whose neighbourhood holds every sample, so decay sends the
     # others to that opening's full hull and decides nothing after it
     g = h.grid_from_callable(lambda p: (p ** 2).sum(axis=1), 2, 33, domain_radius=1.0)
-    pts, _, inside = g._coords()
+    cloud, inside = lab._ball_cloud(g)
     n = int(inside.sum())
     want = dict(hull_calls=0, hull_points=0, q0_raised=0, q0_rejected=0, lower_facets=0)
-    lab._contact(pts[inside], g.values.ravel()[inside], 1.0, want)
+    lab._contact(cloud, 1.0, want)
     want |= {"undecided": n - 1, "floor": 1}
     with pytest.raises(h.DegenerateData) as exc:
         h.decay_experiment(g, 1.0, 5, h.Ellipticity(2, 2.0, 1))
