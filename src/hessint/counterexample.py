@@ -13,6 +13,7 @@ lower bound whose divergence along a shrinking lattice is the certificate.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -104,6 +105,11 @@ def hessian_eigenvalues(p: RadialProfile, r: float) -> tuple[float, float]:
 def pucci_minus(p: RadialProfile, r: float) -> float:
     """M^-(D^2 u)(r) = Lambda (n-1) tangential + lambda radial, for 0 < r < R.
 
+    Evaluated factored, as alpha (R/r)^(alpha+2) c + alpha (Lambda (n-1) + lambda)
+    with c = lambda (alpha+1) - Lambda (n-1): the two r^-(alpha+2) terms are
+    each of size alpha (alpha+1) (R/r)^(alpha+2) and cancel exactly at
+    alpha = (n-1) Lambda/lambda - 1, where their plain sum leaves rounding
+    noise up to 7e19 against the cap 58.5 at (n, rho) = (6, 1.5), R = 0.2.
     Bounded above by Lambda n alpha exactly when the profile is admissible.
     """
     if not p.admissible:
@@ -111,8 +117,11 @@ def pucci_minus(p: RadialProfile, r: float) -> float:
             f"alpha={p.alpha} exceeds (n-1)Lambda/lambda - 1 = "
             f"{(p.n - 1) * p.Lam / p.lam - 1.0:.6g}; not a supersolution"
         )
-    tangential, radial = hessian_eigenvalues(p, r)
-    return p.Lam * (p.n - 1) * tangential + p.lam * radial
+    if not (is_number(r) and 0.0 < r < p.R):
+        raise DomainError(f"pucci_minus requires 0 < r < R={p.R}, got {r!r}")
+    r, a, weight = float(r), p.alpha, p.Lam * (p.n - 1)   # weight of the tangential one
+    return (a * p.R ** (a + 2.0) * r ** (-a - 2.0) * (p.lam * (a + 1.0) - weight)
+            + a * (weight + p.lam))
 
 
 def theta_lower(p: RadialProfile, r: float) -> float:
@@ -279,6 +288,7 @@ def lp_lower_bound(p: RadialProfile, epsilon: float) -> float:
 
     Requires ((n-1) rho + 1) eps > n (strictly), which is equivalent to the
     admissible window (n-1) rho - 1 >= alpha > n/eps - 2 being nonempty.
+    A DomainError names an R too small for floats (see _per_ball_integral).
     """
     n, a = p.n, p.alpha
     require_positive("epsilon", epsilon)
@@ -297,8 +307,10 @@ def lp_lower_bound(p: RadialProfile, epsilon: float) -> float:
     if p.R >= 0.25:
         raise GeometryError(f"lattice balls require R < 1/4, got R={p.R}")
 
-    count = ((1.0 - 4.0 * p.R) / (8.0 * math.sqrt(n) * p.R)) ** n
-    return count * _per_ball_integral(p, epsilon)
+    # the integral first: R^((alpha+2) eps) underflows at a larger R than the
+    # count overflows at, since (alpha+2) eps > n (at R = 1e-110 the count raised)
+    per_ball = _per_ball_integral(p, epsilon)
+    return ((1.0 - 4.0 * p.R) / (8.0 * math.sqrt(n) * p.R)) ** n * per_ball
 
 
 def _sphere_area(n: int) -> float:
@@ -316,7 +328,9 @@ def _per_ball_integral(p: RadialProfile, epsilon: float) -> float:
 
     S K R^((alpha+2) eps) (lo^-q - hi^-q)/q with q = (alpha+2) eps - n, lo the
     truncation radius, S the unit sphere area, and
-    K = ((lambda/Lambda)(1 - 2^-(alpha+2)))^eps.
+    K = ((lambda/Lambda)(1 - 2^-(alpha+2)))^eps. DomainError naming R where
+    R^((alpha+2) eps) is below the least normal float or the integral is not
+    finite in floats.
     """
     n, a = p.n, p.alpha
     lo = p.truncation_radius
@@ -327,7 +341,17 @@ def _per_ball_integral(p: RadialProfile, epsilon: float) -> float:
         )
     q = (a + 2.0) * epsilon - n
     K = ((p.lam / p.Lam) * (1.0 - 2.0 ** (-(a + 2.0)))) ** epsilon
-    return _sphere_area(n) * K * p.R ** ((a + 2.0) * epsilon) * (lo ** -q - hi ** -q) / q
+    scale = p.R ** ((a + 2.0) * epsilon)
+    if scale < sys.float_info.min:
+        raise DomainError(f"R = {p.R!r} is too small: R^((alpha+2) eps) = {scale!r} underflows")
+    area = _sphere_area(n)      # outside the try: its OverflowError is about n, not R
+    try:
+        value = area * K * scale * (lo ** -q - hi ** -q) / q
+    except (OverflowError, ZeroDivisionError):     # lo ** -q past the floats, or lo = 0.0
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"R = {p.R!r} is too small: the per-ball integral overflows in floats")
+    return value
 
 
 @dataclass(frozen=True)
@@ -377,15 +401,14 @@ def divergence_scan(n: int, ratio: float, epsilon: float, m_range) -> Divergence
                  f"does not exceed n = {n}; no divergence certificate",
         )
 
+    # every per-ball integral before the first count: a count can take
+    # seconds, and an annulus already empty is a GeometryError
     alpha = (n - 1) * ratio - 1.0
-    Rs, bounds = [], []
-    for m in ms:
-        R = 2.0 ** -m
-        p = RadialProfile(n=n, alpha=alpha, R=R, lam=1.0, Lam=ratio)
-        Rs.append(R)
-        bounds.append(lattice_ball_count(n, R) * _per_ball_integral(p, epsilon))
+    Rs = [2.0 ** -m for m in ms]
+    per_ball = [_per_ball_integral(RadialProfile(n=n, alpha=alpha, R=R, lam=1.0, Lam=ratio),
+                                   epsilon) for R in Rs]
+    bounds = np.asarray([lattice_ball_count(n, R) * b for R, b in zip(Rs, per_ball)])
     Rs = np.asarray(Rs)
-    bounds = np.asarray(bounds)
 
     slope = r2 = math.nan  # one point fits no line
     if len(ms) >= 2:

@@ -18,13 +18,13 @@ decay counts. Samples strictly inside a flat facet touch yet count as
 contact only at larger a. Moving x by a constant changes the lift by an
 affine function only, so no result depends on where the grid sits.
 
-All of them come from qhull hulls, built by _lifted_hull with one qhull
-policy and one counter set. The lower hull of the lift in R^(d+1),
-d = 1, 2, 3, gives the contact mask and the exact a-convex envelope: at
-every sample, the maximum over the supporting planes of the downward-facing
-facets (each minorizes the hull function globally and is attained on its
-facet). The hull of the cloud itself in R^(d+2) gives Theta exactly, read
-off its facet normals and certified by LP duality (see theta_field). An
+All of them read qhull hulls, built by _lifted_hull with one policy and one
+counter set, through one reader, _lower: a hull's downward facets along v.
+Contact, decay and the envelope read the lift's hull in R^(d+1), d = 1, 2, 3
+(_contact returns its lower facets and their vertices, the contact mask);
+the envelope is at every sample the maximum over those facets' planes (each
+minorizes the hull function and is attained on its facet). Theta reads the
+cloud's hull in R^(d+2), exactly, certified by LP duality (see theta_field). An
 iterated direction-sweep scheme was considered and rejected: it converges to
 the separately-convex envelope, which on generic 2-D data sits order-one
 above the true envelope.
@@ -154,7 +154,8 @@ class GridFunction:
     def content_hash(self) -> str:
         h = hashlib.sha256()
         h.update(json.dumps(self._header(), sort_keys=True).encode())
-        h.update(np.ascontiguousarray(self.values, dtype="<f8").tobytes())
+        # every NaN as np.nan's bits: a NaN's sign and payload depend on how the grid was written
+        h.update(np.where(np.isnan(self.values), np.nan, self.values).astype("<f8").tobytes())
         return h.hexdigest()
 
     def save(self, path, inline: bool | None = None) -> None:
@@ -396,8 +397,14 @@ def _lift(cloud: np.ndarray, a: float) -> np.ndarray:
     return np.column_stack([cloud[:, :-2], cloud[:, -2] + a * cloud[:, -1]])
 
 
+def _lower(hull, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Equations and simplices of hull's facets whose outward normal has e_d < -_VERTICAL_TOL."""
+    down = hull.equations[:, d] < -_VERTICAL_TOL
+    return hull.equations[down], hull.simplices[down]
+
+
 def _contact(cloud: np.ndarray, a: float, stats: dict):
-    """Lower hull of cloud's lift at a and the contact mask: (hull, or None where flat, mask).
+    """Lower facets of cloud's lift at a and the contact mask: (equations or None if flat, mask).
 
     The mask marks vertices of downward facets (the x-hull corners where the
     lift is flat: one facet). If _extreme_at refuses a "Q0" hull's marked
@@ -406,25 +413,19 @@ def _contact(cloud: np.ndarray, a: float, stats: dict):
     """
     n, d = len(cloud), cloud.shape[1] - 2
     lifted = _lift(cloud, a)
-
-    def lower_vertices(hull):
-        mask = np.zeros(n, dtype=bool)
-        mask[hull.simplices[hull.equations[:, d] < -_VERTICAL_TOL]] = True
-        return mask
-
+    on_hull = np.zeros(n, dtype=bool)
     raised = stats["q0_raised"]
     hull, _ = _lifted_hull(lifted, d, stats)
     if hull is None:
-        on_hull = np.zeros(n, dtype=bool)
         on_hull[_corners(cloud[:, :d])] = True
         return None, on_hull
-    on_hull = lower_vertices(hull)
-    if stats["q0_raised"] == raised and not _extreme_at(hull, np.flatnonzero(on_hull)):
+    E, simplices = _lower(hull, d)
+    if stats["q0_raised"] == raised and not _extreme_at(hull, np.unique(simplices)):
         stats["q0_rejected"] += 1
-        hull = _merged_hull(lifted, stats)
-        on_hull = lower_vertices(hull)
-    stats["lower_facets"] += int((hull.equations[:, d] < -_VERTICAL_TOL).sum())
-    return hull, on_hull
+        E, simplices = _lower(_merged_hull(lifted, stats), d)
+    on_hull[simplices] = True
+    stats["lower_facets"] += len(E)
+    return E, on_hull
 
 
 def _extreme_at(hull, verts: np.ndarray) -> bool:
@@ -524,8 +525,7 @@ def _neighbourhood_contact(cloud: np.ndarray, a: float, cand: np.ndarray, near, 
     if hull is None:
         stats["undecided"] += len(cand)
         return None
-    lower = hull.equations[:, d] < -_VERTICAL_TOL
-    E, simplices = hull.equations[lower], hull.simplices[lower]
+    E, simplices = _lower(hull, d)
     stats["lower_facets"] += len(E)
     local = np.searchsorted(idx, cand)
     vertex = np.zeros(len(idx), dtype=bool)
@@ -584,17 +584,16 @@ def a_convex_envelope(v: GridFunction, a: float) -> EnvelopeResult:
     cloud, inside = _ball_cloud(v)
     _require_resolved(a, cloud, v.spacing)
     stats = dict(hull_calls=0, hull_points=0, q0_raised=0, q0_rejected=0, lower_facets=0)
-    hull, on_hull = _contact(cloud, a, stats)
+    E, on_hull = _contact(cloud, a, stats)
     # the lift where it touches or is flat, elsewhere the largest plane of the
     # downward facets, z(x) = -(offset + n_x . x) / n_z, in blocks of ~8 MB
     d = v.dim
     shift = a * cloud[:, d + 1]
     env = cloud[:, d] + shift
-    if hull is not None:
+    if E is not None:
         off = ~on_hull
         off_pts = cloud[off, :d]
         best = np.full(len(off_pts), -np.inf)
-        E = hull.equations[hull.equations[:, d] < -_VERTICAL_TOL]
         block = max(1, int(1_000_000 // max(1, len(off_pts))))
         for s in range(0, len(E), block):
             chunk = E[s:s + block]
@@ -613,9 +612,10 @@ def theta_field(v: GridFunction, a_max: float, bisect_tol: float | None = None) 
     the cloud for some p, that is when (-p, 1, a) lies inside the normal cone
     of y_i in conv{y_j}. That cone is spanned by the inward normals
     c = (c_x, c_v, c_q) of the hull facets incident to i, so
-    Theta_i = max(0, min c_q / c_v) over those facets with c_v > 0. Vertices
-    of the x-hull have Theta = 0 exactly (a linear function exposes them at
-    every opening), and so do the samples at the grid's minimum, the floor:
+    Theta_i = max(0, min c_q / c_v) over those with c_v > 0, the hull's
+    downward facets along v (_lower). Vertices of the x-hull have Theta = 0
+    exactly (a linear function exposes them at every opening), and so do the
+    samples at the grid's minimum, the floor:
     v_j + (a/2)|x_j - x_i|^2 > v_i for every other j at every a > 0. A
     cloud whose lift is flat (v = affine + c q) has Theta = max(0, -c) off
     the x-hull vertices.
@@ -680,7 +680,8 @@ def _exact_theta(cloud: np.ndarray, floor: np.ndarray, near):
             theta = np.full(n, max(0.0, -float(coef[-2])))
             theta[corners] = 0.0
             return theta, theta, stats | no_hull
-        rows, r, slope, dual, contact_facets = _theta_proposals(hull, idx, cloud, d, need)
+        E, simplices = _lower(hull, d)
+        rows, r, slope, dual = _theta_proposals(E, idx[simplices], cloud, d, need)
         # hi = max(r, 0) holds where its paraboloid, with the proposal's slope,
         # passes the support certificate; lo, the dual bound capped at hi where
         # r > 0 (else 0), must agree with it. A sample no facet with c_v > 0
@@ -695,27 +696,26 @@ def _exact_theta(cloud: np.ndarray, floor: np.ndarray, near):
         failed = int((~ok).sum())
         if not failed:
             return lo, hi, stats | no_hull | dict(hull_facets=len(hull.simplices),
-                                                  contact_facets=contact_facets)
+                                                  contact_facets=len(E))
     raise GeometryError(f"Theta left {failed} of {n} samples uncertified")
 
 
-def _theta_proposals(hull, idx: np.ndarray, cloud: np.ndarray, d: int, need: np.ndarray):
-    """Theta proposed by the hull of cloud[idx] at the samples need flags that it touches.
+def _theta_proposals(E: np.ndarray, simplices: np.ndarray, cloud: np.ndarray, d: int,
+                     need: np.ndarray):
+    """Theta proposed by a hull's facets with inward c_v > 0 at the samples need flags that
+    they touch: its downward facets along v (_lower), equations E, simplices into cloud.
 
     Returns their indices into cloud (ascending), and per sample the least
-    ratio r = c_q/c_v over its facets with c_v > 0, that facet's c_x/c_v and
-    the dual bound: the largest sum_k lam_k (v_i - v_k) over the facets tying
-    r, lam >= 0 on their other vertices with sum lam dx = 0 and
-    sum lam |dx|^2/2 = 1 (-inf where no weights hold). Then the count of
-    facets with c_v > 0.
+    ratio r = c_q/c_v over its facets, that facet's c_x/c_v (equal to the
+    outward e_q/e_v and e_x/e_v: negation is exact) and the dual bound: the
+    largest sum_k lam_k (v_i - v_k) over the facets tying r, lam >= 0 on their
+    other vertices with sum lam dx = 0 and sum lam |dx|^2/2 = 1 (-inf where no
+    weights hold).
     """
     n = len(cloud)
     points, values = cloud[:, :d], cloud[:, d]
-    normal = -hull.equations[:, :d + 2]          # inward
-    up = normal[:, d] > _VERTICAL_TOL
-    simplices = idx[hull.simplices[up]]
-    ratio = normal[up, d + 1] / normal[up, d]
-    slope = normal[up, :d] / normal[up, d][:, None]
+    ratio = E[:, d + 1] / E[:, d]
+    slope = E[:, :d] / E[:, d:d + 1]
 
     # (sample, facet) incidences of the samples need flags, sorted by ratio within each sample
     owner = simplices.ravel()
@@ -747,7 +747,7 @@ def _theta_proposals(hull, idx: np.ndarray, cloud: np.ndarray, d: int, need: np.
     bound = (lam * (values[i][:, None] - values[others])).sum(axis=1)
     dual = np.full(n, -np.inf)
     np.maximum.at(dual, i[valid], bound[valid])
-    return touched, best[touched], slope[facet[first]], dual[touched], int(up.sum())
+    return touched, best[touched], slope[facet[first]], dual[touched]
 
 
 def tail_distribution(theta: ThetaField, restrict_radius: float,

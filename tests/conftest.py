@@ -21,7 +21,7 @@ def bump_grid(bump_profile):
 def bump_theta(bump_grid):
     # 11,272 of the 12,853 samples are floor (Theta = 0 without a hull): one
     # qhull call of 1,957 points in R^4 plus the certificates against all
-    # samples (about 0.15 s); shared by the acceptance run and the unit tests,
+    # samples (about 0.08 s); shared by the acceptance run and the unit tests,
     # with the build cost recorded so the acceptance timing can include it
     t0 = time.perf_counter()
     field = h.theta_field(bump_grid, a_max=600.0)

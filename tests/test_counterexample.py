@@ -2,12 +2,14 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
 import hessint as h
+import hessint.counterexample as cx
 from hessint.counterexample import _per_ball_integral, _sphere_area
 from _oracles import lattice_count_slices
 
@@ -106,6 +108,36 @@ def test_pucci_constant_at_boundary_alpha():
         cancelled = p.alpha * p.Lam * (p.n - 1) * (p.R / r) ** (p.alpha + 2)
         assert abs(h.pucci_minus(p, float(r)) - expected) <= 1e-12 * (cancelled + expected)
     assert expected <= p.Lam * p.n * p.alpha + 1e-15
+
+
+def test_pucci_stays_under_the_cap_at_the_boundary_alpha():
+    # criterion 10's pairs at alpha = (n-1) rho - 1, where the two r^-(alpha+2)
+    # terms cancel exactly: summed unfactored, their rounding noise read up to
+    # 2.6e5 against the cap 18 at (3, 2) and 7.4e19 against 58.5 at (6, 1.5)
+    pairs = [(3, 1.5), (3, 2.0), (3, 5.0), (4, 2.0), (4, 3.0),
+             (5, 1.5), (5, 2.0), (6, 1.5), (7, 2.0), (8, 1.2)]
+    fracs = np.linspace(1e-4, 0.9999, 10000)
+    exact_pairs = 0
+    for n, rho in pairs:
+        alpha = (n - 1) * rho - 1.0
+        p = h.RadialProfile(n, alpha, 0.2, 1.0, rho)
+        vals = np.array([h.pucci_minus(p, float(r)) for r in fracs * p.R])
+        assert vals.max() <= rho * n * alpha, (n, rho, vals.max())
+        if Fraction(n - 1) * Fraction(rho) != Fraction((n - 1) * rho):
+            continue            # (8, 1.2): (n-1) rho rounds, so alpha is not exact
+        exact_pairs += 1
+        constant = alpha * (rho * (n - 1) + 1.0)
+        assert np.abs(vals - constant).max() <= 1e-12 * constant, (n, rho)
+        with mpmath.workdps(50):
+            a, R = mpmath.mpf(alpha), mpmath.mpf(p.R)
+            for frac in (0.01, 0.1, 0.5, 0.9):
+                r = mpmath.mpf(frac * p.R)
+                tang = -a * r ** (-a - 2) * (R ** (a + 2) - r ** (a + 2))
+                rad = a * (a + 1) * R ** (a + 2) * r ** (-a - 2) + a
+                want = mpmath.mpf(rho) * (n - 1) * tang + rad
+                got = h.pucci_minus(p, frac * p.R)
+                assert abs(got - want) <= 1e-12 * abs(want), (n, rho, frac)
+    assert exact_pairs == 9
 
 
 def test_pucci_bound_reference_sample():
@@ -298,6 +330,21 @@ def test_lp_lower_bound_geometry():
         h.lp_lower_bound(h.RadialProfile(3, 19.0, 0.125, 1.0, 10.0), 0.7)
 
 
+def test_lp_lower_bound_at_a_tiny_radius_is_a_domain_error():
+    # R^((alpha+2) eps) = R^3.5 is subnormal at 1e-90 (the result was 1.8e-9
+    # relative off) and 0.0 at 1e-100 (a silent 0.0 for 1.65e31), and at
+    # 1e-110 the ball count overflowed with a bare OverflowError
+    for R in (1e-90, 1e-100, 1e-110):
+        with pytest.raises(h.DomainError, match=r"\bR = "):
+            h.lp_lower_bound(h.RadialProfile(3, 3.0, R, 1, 2), 0.7)
+    # at alpha = 0.1 the truncation radius R^21 c~ is 0.0 at R = 1e-20, and
+    # lo^-q raised ZeroDivisionError
+    with pytest.raises(h.DomainError, match=r"\bR = "):
+        h.lp_lower_bound(h.RadialProfile(3, 0.1, 1e-20, 1, 2), 5.0)
+    # at 1e-50 the bound stands, to 2.1e-14 of a 40-digit evaluation
+    assert h.lp_lower_bound(h.RadialProfile(3, 3.0, 1e-50, 1, 2), 0.7) == 355855565314641.4
+
+
 def test_lp_lower_bound_monotone_along_dyadic():
     vals = [h.lp_lower_bound(h.RadialProfile(3, 2.5, 2.0 ** -m, 1.0, 2.0), 0.7)
             for m in range(3, 11)]
@@ -331,6 +378,16 @@ def test_divergence_scan_bounds_are_oracle_count_times_per_ball_integral():
             * _per_ball_integral(h.RadialProfile(3, 3.0, 2.0 ** -m, 1.0, 2.0), 0.7)
             for m in ms]
     assert scan.lower_bounds.tolist() == want
+
+
+def test_divergence_scan_checks_every_annulus_before_counting(monkeypatch):
+    # at rho = 2, eps = 0.7 the m = 3 annulus is empty from n = 7: the scan
+    # raises before its first count (at n = 344 that count took 38 s)
+    def no_count(dim, R):
+        raise AssertionError(f"lattice_ball_count({dim}, {R}) called")
+    monkeypatch.setattr(cx, "lattice_ball_count", no_count)
+    with pytest.raises(h.GeometryError, match="annulus edge"):
+        h.divergence_scan(7, 2.0, 0.7, [3, 10])
 
 
 def test_divergence_scan_dominates_analytic_count_bound():

@@ -193,6 +193,20 @@ def test_content_hash_tracks_values():
     assert g1.content_hash() != g2.content_hash()
 
 
+def test_content_hash_reads_every_nan_alike(tmp_path):
+    # outside samples holding -nan hashed apart from nan, and from their
+    # inline copy, which reads null back as nan; the sidecar keeps the sign
+    g = h.grid_from_callable(lambda p: (p ** 2).sum(axis=1), 2, 9)
+    neg = replace(g, values=np.where(g.inside_mask(), g.values, -np.nan))
+    hashes = {g.content_hash(), neg.content_hash()}
+    for inline in (True, False):
+        neg.save(tmp_path / f"g{inline}.json", inline=inline)
+        copy = h.GridFunction.load(tmp_path / f"g{inline}.json")
+        assert np.signbit(copy.values[~g.inside_mask()]).all() == (not inline)
+        hashes.add(copy.content_hash())
+    assert len(hashes) == 1
+
+
 def test_convex_envelope_affine_fixed_point():
     for dim in (1, 2):
         g = h.grid_from_callable(lambda p: 0.3 * p[:, 0] + 0.1, dim, 21, domain_radius=1.0)
@@ -1079,6 +1093,31 @@ def test_decay_bump_family_beats_lemma_rate(bump_grid):
     rep = h.decay_experiment(bump_grid, 1.0, 8, h.Ellipticity(2, 2.0, 1))
     assert (np.diff(rep.counts) <= 1e-12).all()
     assert rep.empirical_ratio <= rep.theoretical_ratio
+
+
+def test_decay_and_theta_agree_on_the_floor_path(bump_grid, bump_theta, monkeypatch):
+    # both engines decide from neighbourhood hulls and certificates here: the
+    # non-contact count at each opening a is #{Theta >= a}, and no Theta lies
+    # within 1e-12 a of an opening
+    masks, decay_masks = [], lab._decay_masks
+
+    def recorded(*args):
+        for mask in decay_masks(*args):
+            masks.append(mask)
+            yield mask
+    monkeypatch.setattr(lab, "_decay_masks", recorded)
+    rep = h.decay_experiment(bump_grid, 1.0, 8, h.Ellipticity(2, 2.0, 1))
+    assert rep.stats["undecided"] == 0 and bump_theta.stats["hull_calls"] == 1
+    inside = bump_grid.inside_mask()
+    theta, lo, hi = (f[inside] for f in (bump_theta.theta, bump_theta.bracket_lo,
+                                         bump_theta.bracket_hi))
+    want = [981, 749, 529, 357, 225, 145, 89, 61, 37]
+    assert [int((theta >= a).sum()) for a in rep.openings] == want
+    assert (rep.counts / bump_grid.cell_measure).tolist() == want
+    assert len(masks) == len(rep.openings)
+    for a, mask in zip(rep.openings, masks):
+        assert (np.abs(theta - a) > 1e-12 * a).all()
+        assert mask[hi < a * (1.0 - 1e-12)].all() and not mask[lo > a * (1.0 + 1e-12)].any()
 
 
 def _decay_or_partial(g, levels):
