@@ -61,9 +61,21 @@ class RadialProfile:
 
     @property
     def truncation_radius(self) -> float:
-        """Radius below which (lam/(Lam*alpha)) u >= 1: c~ R^((alpha+2)/alpha)."""
-        c_tilde = (self.lam / (self.Lam * self.alpha)) ** (1.0 / self.alpha)
-        return c_tilde * self.R ** ((self.alpha + 2.0) / self.alpha)
+        """Radius below which (lam/(Lam*alpha)) u >= 1: c~ R^((alpha+2)/alpha).
+
+        Where the product of c~ = (lam/(Lam*alpha))^(1/alpha) and the power of
+        R is not a normal float (a factor over- or underflows at small alpha),
+        it is taken in logarithms: inf past the float range, 0.0 below it.
+        """
+        base = self.lam / (self.Lam * self.alpha)
+        try:
+            radius = base ** (1.0 / self.alpha) * self.R ** ((self.alpha + 2.0) / self.alpha)
+        except OverflowError:
+            radius = math.inf
+        if sys.float_info.min <= radius < math.inf:
+            return radius
+        log_r = (math.log(base) + (self.alpha + 2.0) * math.log(self.R)) / self.alpha
+        return math.exp(log_r) if log_r <= math.log(sys.float_info.max) else math.inf
 
 
 def u_value(p: RadialProfile, r: float) -> float:

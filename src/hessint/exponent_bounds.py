@@ -11,7 +11,8 @@ integrability statement.
 
 Only the ellipticity ratio rho = Lambda/lambda enters any formula, so the
 :class:`Ellipticity` configuration carries (n, ratio, k) with 1 <= k <= n-1
-directions of assumed negative curvature.
+directions of assumed negative curvature. It also derives, once, the decay
+constant c* that the interior, closed-form and global lower bounds read.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import functools
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import DomainError, OptimizationError, is_int, is_number, require_finite, require_int
@@ -42,17 +43,24 @@ class Ellipticity:
     k counts the eigendirections along which the paraboloid-touching argument
     assumes negative curvature; k = n is rejected (the construction needs at
     least one complementary direction).
+
+    c* = max over i <= k of c(n, rho, i) is derived once, when the
+    configuration is made or replaced; ``c_star(e)`` reads it. It is not an
+    argument and takes no part in ==, hash or repr.
     """
 
     n: int
     ratio: float
     k: int = 1
+    _c_star: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         require_int("n", self.n, 2)
         require_finite("ratio", self.ratio, 1.0)
         if not (is_int(self.k) and 1 <= self.k <= self.n - 1):
             raise DomainError(f"k must be an integer in [1, n-1] = [1, {self.n - 1}], got {self.k}")
+        object.__setattr__(self, "_c_star",
+                           max(_pucci_c(self.n, self.ratio, i) for i in range(1, self.k + 1)))
 
 
 @dataclass(frozen=True)
@@ -106,7 +114,7 @@ def _pucci_c(n: int, ratio: float, k: int) -> float:
 
 def c_star(e: Ellipticity) -> float:
     """Best (largest) decay constant over direction counts i = 1..k."""
-    return max(_pucci_c(e.n, e.ratio, i) for i in range(1, e.k + 1))
+    return e._c_star
 
 
 def c_lower_bound(e: Ellipticity) -> float:
@@ -156,10 +164,6 @@ def _check_phi_args(gamma, c, n) -> None:
 def phi(gamma: float, c: float, n: int) -> float:
     """Decay-rate exponent phi(gamma) = ln(1 - c*gamma^n) / ln(1 - gamma)."""
     _check_phi_args(gamma, c, n)
-    return _phi(gamma, c, n)
-
-
-def _phi(gamma: float, c: float, n: int) -> float:
     return math.log1p(-c * gamma ** n) / math.log1p(-gamma)
 
 
@@ -172,7 +176,7 @@ def phi_lower(gamma: float, c: float, n: int) -> float:
 def _stationarity_gap(gamma: float, c: float, n: int) -> float:
     # n*c*g^(n-1)(1-g)/(1-c*g^n) - phi(g); vanishes exactly at critical points,
     # positive left of the interior max, negative right of it. c*g^n is shared
-    # by both terms, each rounded as _phi rounds it
+    # by both terms, each rounded as phi rounds it
     cgn = c * gamma ** n
     expr = n * c * gamma ** (n - 1) * (1.0 - gamma) / (1.0 - cgn)
     return expr - math.log1p(-cgn) / math.log1p(-gamma)
@@ -207,11 +211,7 @@ def epsilon_interior(e: Ellipticity) -> tuple[float, float, float]:
     SIMD loops they round differently from the C library (in 5-8% of inputs
     on an AVX-512 machine), which would move gamma0 and eps.
     """
-    return _epsilon_interior(e, c_star(e))
-
-
-def _epsilon_interior(e: Ellipticity, c: float) -> tuple[float, float, float]:
-    n = e.n
+    n, c = e.n, c_star(e)
     if c == 1.0:
         return 1.0, 1.0, 0.0
     if c < sys.float_info.min:
@@ -281,14 +281,10 @@ def closed_form_lower(e: Ellipticity) -> float:
     Expands to n(e-1)/(1+n e ln n) * (n ln n/(1+n ln n))^n * c_star. Defined
     for n >= 2; n = 2 is outside the asymptotic regime and emits a warning.
     """
-    return _closed_form_lower(e.n, c_star(e))
-
-
-def _closed_form_lower(n: int, cs: float) -> float:
-    if n == 2:
+    if e.n == 2:
         warnings.warn("closed_form_lower at n = 2 is outside the asymptotic regime",
-                      stacklevel=3)
-    return _tau_kernel(float(n)) / math.log(n) * cs
+                      stacklevel=2)
+    return _tau_kernel(float(e.n)) / math.log(e.n) * c_star(e)
 
 
 def refined_lower(e: Ellipticity) -> float:
@@ -337,11 +333,7 @@ def epsilon_global(e: Ellipticity) -> float:
     c* = c_star(e), which is ln(1 - c* phi^-(n+2)) / (-2 ln phi) for the
     golden ratio phi; within 4 ulps of a 60-digit reference for n <= 1000.
     """
-    return _epsilon_global(e.n, c_star(e))
-
-
-def _epsilon_global(n: int, cs: float) -> float:
-    return math.log1p(-cs * _golden(-(n + 2))) / (-2.0 * _LN_GOLDEN)
+    return math.log1p(-c_star(e) * _golden(-(e.n + 2))) / (-2.0 * _LN_GOLDEN)
 
 
 def global_rho_j(j: int, e: Ellipticity) -> float:
@@ -442,31 +434,24 @@ def rho_for_beta(n: int, beta: float) -> float:
 
 def compute_report(e: Ellipticity) -> ExponentReport:
     """Assemble every bound for one configuration; undefined fields are NaN."""
-    c = pucci_c(e)
-    cs = c_star(e)  # once, for the four bounds built on it
-    gamma0, eps, resid = _epsilon_interior(e, cs)
+    gamma0, eps, resid = epsilon_interior(e)
     gs = gamma_star(e.n)
-    f_at_gs = phi_lower(gs, cs, e.n)
-    cfl = _closed_form_lower(e.n, cs)
-    tau_n = tau(e.n) if e.n >= 3 else math.nan
-    refined = refined_lower(e) if (e.n >= 3 and 2 * e.k < e.n) else math.nan
-    abstract = abstract_lower(e.n, e.ratio) if e.n >= 3 else math.nan
     return ExponentReport(
         n=e.n,
         ratio=e.ratio,
         k=e.k,
-        c=c,
-        c_star=cs,
+        c=pucci_c(e),
+        c_star=c_star(e),
         gamma0=gamma0,
         epsilon_interior=eps,
         stationarity_residual=resid,
         gamma_star=gs,
-        f_at_gamma_star=f_at_gs,
-        closed_form_lower=cfl,
-        tau_n=tau_n,
-        refined_lower=refined,
-        abstract_lower=abstract,
+        f_at_gamma_star=phi_lower(gs, c_star(e), e.n),
+        closed_form_lower=closed_form_lower(e),
+        tau_n=tau(e.n) if e.n >= 3 else math.nan,
+        refined_lower=refined_lower(e) if (e.n >= 3 and 2 * e.k < e.n) else math.nan,
+        abstract_lower=abstract_lower(e.n, e.ratio) if e.n >= 3 else math.nan,
         epsilon_upper=epsilon_upper(e.n, e.ratio),
         ass_conjecture=ass_conjecture(e.ratio),
-        epsilon_global=_epsilon_global(e.n, cs),
+        epsilon_global=epsilon_global(e),
     )

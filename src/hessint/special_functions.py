@@ -73,9 +73,12 @@ def _series(p: float) -> float:
 
 def _fritsch(w: float, log_ratio: Callable[[float], float]) -> float:
     # w <- w(1 + e) with t = log(z/w) - w, log_ratio(w) giving log(z/w); the
-    # step is added as w e so that its low bits survive
+    # step is added as w e so that its low bits survive. t = 0 is a zero step;
+    # leaving before q keeps (1+w)^2 from overflowing past |w| = 1.3e154
     for _ in range(_MAX_STEPS):
         t = log_ratio(w) - w
+        if t == 0.0:
+            break
         q = 2.0 * (1.0 + w) * (1.0 + w + 2.0 / 3.0 * t) - t
         e = t / (1.0 + w) * (q - t) / (q - 2.0 * t)
         w += w * e

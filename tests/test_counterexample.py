@@ -328,6 +328,22 @@ def test_lp_lower_bound_geometry():
     # truncation radius beyond R/2: no annulus left to integrate
     with pytest.raises(h.GeometryError):
         h.lp_lower_bound(h.RadialProfile(3, 19.0, 0.125, 1.0, 10.0), 0.7)
+    # at a small alpha c~ = (lam/(Lam alpha))^(1/alpha) is past the floats;
+    # the true radii are 9.3e697 and 2.0e499
+    for alpha, R, eps in [(0.001, 0.1, 2.0), (0.002, 0.2, 1.6)]:
+        with pytest.raises(h.GeometryError, match="annulus edge"):
+            h.lp_lower_bound(h.RadialProfile(3, alpha, R, 1, 2), eps)
+
+
+@pytest.mark.parametrize("alpha, R", [(0.002, 0.06), (0.01, 0.02)])
+def test_truncation_radius_where_a_factor_leaves_the_floats(alpha, R):
+    # c~ = 250^500 overflows at (0.002, 0.06), R^201 underflows at (0.01, 0.02);
+    # the radii c~ R^((alpha+2)/alpha), 7.9e-25 and 2.5e-172, are normal floats
+    p = h.RadialProfile(3, alpha, R, 1, 2)
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        want = (1 / (2 * a)) ** (1 / a) * mpmath.mpf(R) ** ((a + 2) / a)
+    assert abs(p.truncation_radius / float(want) - 1.0) <= 1e-11
 
 
 def test_lp_lower_bound_at_a_tiny_radius_is_a_domain_error():
@@ -341,6 +357,10 @@ def test_lp_lower_bound_at_a_tiny_radius_is_a_domain_error():
     # lo^-q raised ZeroDivisionError
     with pytest.raises(h.DomainError, match=r"\bR = "):
         h.lp_lower_bound(h.RadialProfile(3, 0.1, 1e-20, 1, 2), 5.0)
+    # at alpha = 0.001 c~ is past the floats and the radius, 9.3e-3305,
+    # underflows to 0.0
+    with pytest.raises(h.DomainError, match=r"\bR = "):
+        h.lp_lower_bound(h.RadialProfile(3, 0.001, 1e-3, 1, 2), 2.0)
     # at 1e-50 the bound stands, to 2.1e-14 of a 40-digit evaluation
     assert h.lp_lower_bound(h.RadialProfile(3, 3.0, 1e-50, 1, 2), 0.7) == 355855565314641.4
 

@@ -361,14 +361,39 @@ def test_rho_for_beta_round_trip():
             h.rho_for_beta(3, beta)
 
 
-def test_report_consistency():
-    rep = h.compute_report(E321)
-    assert rep.c == h.pucci_c(E321)
-    assert rep.c_star == h.c_star(E321)
-    assert rep.epsilon_interior == h.epsilon_interior(E321)[1]
-    assert rep.epsilon_upper == h.epsilon_upper(3, 2.0)
-    assert rep.epsilon_global == h.epsilon_global(E321)
+@pytest.mark.filterwarnings("ignore:closed_form_lower at n = 2")
+@pytest.mark.parametrize("e", [E321, h.Ellipticity(9, 7.3, 3), h.Ellipticity(2, 2.0, 1)],
+                         ids=["3-2-1", "9-7.3-3", "n2"])
+def test_report_consistency(e):
+    # at (9, 7.3, 3) c = 1.96e-4 and c_star = 9.59e-3, so a bound built on
+    # pucci_c in place of c_star shows
+    rep = h.compute_report(e)
+    assert rep.c == h.pucci_c(e)
+    assert rep.c_star == h.c_star(e)
+    assert (rep.gamma0, rep.epsilon_interior, rep.stationarity_residual) == h.epsilon_interior(e)
+    assert rep.f_at_gamma_star == h.phi_lower(h.gamma_star(e.n), h.c_star(e), e.n)
+    assert rep.closed_form_lower == h.closed_form_lower(e)
+    assert rep.epsilon_upper == h.epsilon_upper(e.n, e.ratio)
+    assert rep.epsilon_global == h.epsilon_global(e)
     assert rep.closed_form_lower <= rep.f_at_gamma_star <= rep.epsilon_interior
+
+
+def test_c_star_is_derived_once_per_ellipticity(monkeypatch):
+    fields = dataclasses.fields(h.Ellipticity)
+    for role in ("init", "compare", "repr"):
+        assert [f.name for f in fields if getattr(f, role)] == ["n", "ratio", "k"], role
+    e = h.Ellipticity(9, 7.3, 3)
+    assert e == h.Ellipticity(9, 7.3, 3) and hash(e) == hash(h.Ellipticity(9, 7.3, 3))
+    assert repr(e) == "Ellipticity(n=9, ratio=7.3, k=3)"
+    # at (12, 10) c(i) is largest at i = 11, so replace must not keep k = 1's c_star
+    wide = dataclasses.replace(h.Ellipticity(12, 10.0, 1), k=11)
+    assert h.c_star(wide) == h.pucci_c(wide) > h.c_star(h.Ellipticity(12, 10.0, 1))
+    calls = []
+    pucci = xb._pucci_c
+    monkeypatch.setattr(xb, "_pucci_c", lambda *args: calls.append(args) or pucci(*args))
+    e = h.Ellipticity(9, 7.3, 3)
+    h.compute_report(e)
+    assert len(calls) == e.k + 1     # k for c_star, one for the report's c
 
 
 def test_report_n2_leaves_asymptotic_fields_nan():

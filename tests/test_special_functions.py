@@ -145,6 +145,13 @@ def test_wm1_deep_tail_log_identity():
         assert abs(w + math.log(-w) - math.log(-z)) <= 1e-13 * (1.0 + u)
 
 
+@pytest.mark.parametrize("u", [1.3e154, 1e200, 1e300, sys.float_info.max])
+def test_ratio_a_is_one_where_the_iteration_step_would_overflow(u):
+    # (1+w)^2 would overflow in the Fritsch step from |w| = 1.3e154; the
+    # value 1 + ln(u+1)/(u+1) + ... rounds to 1
+    assert h.ratio_a(u) == 1.0
+
+
 def test_ratio_a_past_underflow():
     # -e^{-(u+1)} underflows to zero here; ratio_a works from its logarithm
     a = h.ratio_a(800.0)
