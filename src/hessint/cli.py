@@ -147,6 +147,7 @@ def cmd_counterexample(p: dict) -> tuple[list[dict], dict]:
     scan = cx.divergence_scan(p["n"], p["ratio"], p["eps"], _parse_list(p, "mrange", int))
     if scan.condition_ok:
         prov = {"condition_ok": True, "alpha": scan.alpha,
+                "analytic_exponent": scan.analytic_exponent,
                 "fit_exponent": scan.fit_exponent, "fit_r_squared": scan.fit_r_squared}
     else:
         prov = {"condition_ok": False, "note": scan.note}

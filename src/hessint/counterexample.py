@@ -368,7 +368,13 @@ def _per_ball_integral(p: RadialProfile, epsilon: float) -> float:
 
 @dataclass(frozen=True)
 class DivergenceScan:
-    """Lower bounds along halved radii R = 2^-m, with their power-law fit."""
+    """Lower bounds along halved radii R = 2^-m, with their power-law fit.
+
+    analytic_exponent is the growth exponent 2q/alpha, q = (alpha+2) eps - n,
+    of the per-ball integral times the smooth ball count (R^-n). The bound
+    approaches A R^-(2q/alpha) - B, so fit_exponent, a straight line in
+    log-log, reads it only for small R.
+    """
 
     epsilon: float
     R_sequence: np.ndarray
@@ -376,6 +382,7 @@ class DivergenceScan:
     condition_ok: bool
     m_values: np.ndarray
     alpha: float
+    analytic_exponent: float
     fit_exponent: float
     fit_r_squared: float
     note: str = ""
@@ -408,7 +415,8 @@ def divergence_scan(n: int, ratio: float, epsilon: float, m_range) -> Divergence
         return DivergenceScan(
             epsilon=float(epsilon), R_sequence=np.array([]), lower_bounds=np.array([]),
             condition_ok=False, m_values=np.array([], dtype=int),
-            alpha=math.nan, fit_exponent=math.nan, fit_r_squared=math.nan,
+            alpha=math.nan, analytic_exponent=math.nan, fit_exponent=math.nan,
+            fit_r_squared=math.nan,
             note=f"((n-1)rho+1)eps = {((n - 1) * ratio + 1) * epsilon:.6g} "
                  f"does not exceed n = {n}; no divergence certificate",
         )
@@ -434,5 +442,6 @@ def divergence_scan(n: int, ratio: float, epsilon: float, m_range) -> Divergence
     return DivergenceScan(
         epsilon=float(epsilon), R_sequence=Rs, lower_bounds=bounds, condition_ok=True,
         m_values=np.asarray(ms, dtype=int), alpha=alpha,
+        analytic_exponent=2.0 * ((alpha + 2.0) * epsilon - n) / alpha,
         fit_exponent=float(slope), fit_r_squared=float(r2),
     )

@@ -36,8 +36,11 @@ against every sample with one support certificate (_support_margin). The
 paraboloid v_i + p.(x - x_i) - (a/2)|x - x_i|^2 stays below every other
 sample exactly when the plane through the lifted sample (x_i, v_i + a q_i)
 with slope p + a x_i stays below every other lifted sample: Theta proposes
-the paraboloid, decay the plane. The full hull decides only where that
-neighbourhood holds over _NEAR_SHARE of the samples or leaves any undecided.
+the paraboloid, decay the plane. Only the samples of an x_0 slab about the
+paraboloid's vertex can come within the certificate's tolerance of it, so
+each row is multiplied against that slab alone. The full hull decides only
+where that neighbourhood holds over _NEAR_SHARE of the samples or leaves any
+undecided.
 """
 
 from __future__ import annotations
@@ -274,8 +277,9 @@ class ThetaField:
     stats holds the counters of _lifted_hull (hull_calls, hull_points,
     q0_raised) summed over the neighbourhood's and the full hull's builds,
     hull_facets and contact_facets (facets of the hull used, and those with
-    c_v > 0; 0 without a lifted hull), certified (all samples) and floor (the
-    samples at the minimum, decided without a hull).
+    c_v > 0; 0 without a lifted hull), certified (all samples), floor (the
+    samples at the minimum, decided without a hull) and cert_pairs, the
+    (row, sample) products of the support certificates (_support_margin).
     """
 
     theta: np.ndarray
@@ -311,9 +315,10 @@ class DecayReport:
 
     stats sums the hull engine's counters (as in EnvelopeResult) over the
     hulls built: each neighbourhood's and each opening's full hull where one
-    decided; undecided counts the samples sent to a full hull, and floor the
+    decided; undecided counts the samples sent to a full hull, floor the
     samples at the minimum, in contact at every opening without a hull (see
-    decay_experiment).
+    decay_experiment), and cert_pairs the (row, sample) products of the
+    support certificates (_support_margin).
     """
 
     delta: float
@@ -386,7 +391,11 @@ def _merged_hull(cloud: np.ndarray, stats: dict):
 
 def _ball_cloud(v: GridFunction) -> tuple[np.ndarray, np.ndarray]:
     """The rows (x, v, |x|^2/2) of the samples inside the ball, x taken about the
-    grid's centre, and the flat inside flags of all samples."""
+    grid's centre, and the flat inside flags of all samples.
+
+    The rows are in flat (row-major) grid order, so x_0 is nondecreasing along
+    them: the support certificate's slabs rest on that (_support_margin).
+    """
     pts, _, inside = v._coords()
     x = pts[inside] - v.center
     return np.column_stack([x, v.values.ravel()[inside], 0.5 * (x ** 2).sum(axis=1)]), inside
@@ -447,30 +456,50 @@ def _extreme_at(hull, verts: np.ndarray) -> bool:
     return bool((np.linalg.eigvalsh(G)[:, 0] > _VERTEX_MARGIN).all())
 
 
-def _least_slack(K: np.ndarray, cols: np.ndarray, extra=0.0,
-                 skip: np.ndarray | None = None) -> np.ndarray:
-    """Per row of K, the least entry of K @ cols over _CERT_RTOL times the row's scale.
+def _tolerance(K: np.ndarray, cols: np.ndarray, extra=0.0) -> np.ndarray:
+    """Per row of K, _CERT_RTOL times its scale |K| @ max|cols| + extra: _least_slack's unit."""
+    return _CERT_RTOL * (np.abs(K) @ np.abs(cols).max(axis=1) + extra)
 
-    The scale is |K| @ max|cols| + extra. A margin >= -1 holds to rounding,
-    one > 1 strictly. Row i leaves out column skip[i] when skip is given. In
-    _CERT_ROWS row blocks.
+
+def _least_slack(K: np.ndarray, cols: np.ndarray, tol: np.ndarray,
+                 skip: np.ndarray | None = None,
+                 spans: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Per row of K, the least entry of K @ cols in units of tol (_tolerance's).
+
+    A margin >= -1 holds to rounding, one > 1 strictly. Row i leaves out column
+    skip[i] when skip is given. In _CERT_ROWS row blocks; with spans = (lo, hi),
+    block b multiplies only the columns lo[b]:hi[b], which must hold its rows'
+    skipped columns. Where every entry of a row outside its block's span
+    exceeds 2 tol (as _support_margin's slabs ensure), its margin is the full
+    product's at or below 1, bit for bit, and above 1 wherever that is.
     """
     worst = np.empty(len(K))
-    for s in range(0, len(K), _CERT_ROWS):
-        block = K[s:s + _CERT_ROWS] @ cols
+    for b, s in enumerate(range(0, len(K), _CERT_ROWS)):
+        lo, hi = (0, cols.shape[1]) if spans is None else (spans[0][b], spans[1][b])
+        block = K[s:s + _CERT_ROWS] @ cols[:, lo:hi]
         if skip is not None:
-            block[np.arange(len(block)), skip[s:s + _CERT_ROWS]] = np.inf
+            block[np.arange(len(block)), skip[s:s + _CERT_ROWS] - lo] = np.inf
         worst[s:s + _CERT_ROWS] = block.min(axis=1)
-    return worst / (_CERT_RTOL * (np.abs(K) @ np.abs(cols).max(axis=1) + extra))
+    return worst / tol
 
 
 def _support_margin(cloud: np.ndarray, d: int, rows: np.ndarray, a: np.ndarray,
-                    p: np.ndarray) -> np.ndarray:
+                    p: np.ndarray, stats: dict) -> np.ndarray:
     """Per sample i in rows, _least_slack's margin of the other samples over the
-    paraboloid v_i + p.(x - x_i) - (a/2)|x - x_i|^2, cloud holding (x, v, q = |x|^2/2).
+    paraboloid v_i + p.(x - x_i) - (a/2)|x - x_i|^2, cloud holding (x, v, q = |x|^2/2)
+    in _ball_cloud's order. Counts the (row, sample) products into stats["cert_pairs"].
 
     It is also the margin of the lifted samples (x, v + a q) over the plane
     through sample i's lift with slope p + a x_i.
+
+    Row i reads only the samples of its slab |x_0 - c_0| <= reach_i about the
+    paraboloid's vertex c = x_i + p/a. Since slack_ij = v_j - v_i +
+    (a/2)|x_j - c|^2 - |p|^2/(2a) >= min v - v_i + (a/2)(x_j0 - c_0)^2 -
+    |p|^2/(2a), a sample outside reach_i = sqrt(|p/a|^2 + 2(v_i - min v +
+    2 tol_i)/a) is more than twice the margin-1 slack above it (the factor 2
+    covers rounding). So a margin at or below 1 is the full product's, bit for
+    bit, and one above 1 is above 1 there too. Rows with a = 0 or a non-finite
+    reach read every sample.
     """
     n = len(cloud)
     points, values, q = cloud[:, :d], cloud[:, d], cloud[:, d + 1]
@@ -480,7 +509,21 @@ def _support_margin(cloud: np.ndarray, d: int, rows: np.ndarray, a: np.ndarray,
     const = -values[rows] + a * q[rows] + (p * x).sum(axis=1)
     K = np.column_stack([np.ones(len(rows)), a, -(a[:, None] * x + p), const])
     cols = np.vstack([values, q, points.T, np.ones(n)])
-    return _least_slack(K, cols, np.abs(p).sum(axis=1) * np.abs(points).max(), skip=rows)
+    tol = _tolerance(K, cols, np.abs(p).sum(axis=1) * np.abs(points).max())
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        centre = x[:, 0] + p[:, 0] / a
+        reach = np.sqrt(((p / a[:, None]) ** 2).sum(axis=1)
+                        + 2.0 * (values[rows] - values.min() + 2.0 * tol) / a)
+        slab = np.isfinite(centre) & np.isfinite(reach)
+        # x_0 is nondecreasing along the cloud, so each slab is one run of samples
+        lo = np.where(slab, points[:, 0].searchsorted(centre - reach, "left"), 0)
+        hi = np.where(slab, points[:, 0].searchsorted(centre + reach, "right"), n)
+    # a block spans its rows' slabs and, against rounding, the rows themselves
+    starts = np.arange(0, len(rows), _CERT_ROWS)
+    lo = np.minimum.reduceat(np.minimum(lo, rows), starts)
+    hi = np.maximum.reduceat(np.maximum(hi, rows + 1), starts)
+    stats["cert_pairs"] += int((np.diff(starts, append=len(rows)) * (hi - lo)).sum())
+    return _least_slack(K, cols, tol, skip=rows, spans=(lo, hi))
 
 
 def _dilated(shape: tuple, at: np.ndarray, cells: int) -> np.ndarray:
@@ -534,7 +577,7 @@ def _neighbourhood_contact(cloud: np.ndarray, a: float, cand: np.ndarray, near, 
 
     # out of contact: -(n . p + offset) > 0 for every lower facet (unit n)
     K = -np.column_stack([_lift(cloud[cand[~vertex]], a), np.ones((~vertex).sum())])
-    below = _least_slack(K, E.T) > 1.0
+    below = _least_slack(K, E.T, _tolerance(K, E.T)) > 1.0
 
     # in contact: the plane normal to N has slope -N_x/N_z = p + a x_i
     owner = simplices.ravel()
@@ -542,7 +585,7 @@ def _neighbourhood_contact(cloud: np.ndarray, a: float, cand: np.ndarray, near, 
                          for c in range(d + 1)])
     at = cand[vertex]
     p = -N[:, :d] / N[:, d:] - a * cloud[at, :d]
-    above = _support_margin(cloud, d, at, np.full(len(at), a), p) > 1.0
+    above = _support_margin(cloud, d, at, np.full(len(at), a), p, stats) > 1.0
 
     undecided = int((~below).sum() + (~above).sum())
     stats["undecided"] += undecided
@@ -625,9 +668,10 @@ def theta_field(v: GridFunction, a_max: float, bisect_tol: float | None = None) 
     constraints, whose normal cones can only be wider), unless those hold
     over _NEAR_SHARE of all, and by the full hull where that leaves any
     sample uncertified. Both ends of every proposal are checked in numpy
-    against all N samples: bracket_hi is an opening a whose paraboloid, with
+    against the data: bracket_hi is an opening a whose paraboloid, with
     the slope read off the minimising facet, stays below every sample (so
-    Theta <= a), and bracket_lo is sum_k lam_k (v_i - v_k) for weights
+    Theta <= a; only the samples of its x_0 slab can come near it, see
+    _support_margin), and bracket_lo is sum_k lam_k (v_i - v_k) for weights
     lam >= 0 on the other vertices of a minimising facet with
     sum lam_k dx_k = 0 and sum lam_k |dx_k|^2/2 = 1 (so Theta >= it, by LP
     duality). GeometryError names the count the full hull leaves uncertified.
@@ -663,7 +707,7 @@ def _exact_theta(cloud: np.ndarray, floor: np.ndarray, near):
     """
     n, d = len(cloud), cloud.shape[1] - 2
     corners = _corners(cloud[:, :d])
-    stats = dict(hull_calls=0, hull_points=0, q0_raised=0)
+    stats = dict(hull_calls=0, hull_points=0, q0_raised=0, cert_pairs=0)
     no_hull = dict(hull_facets=0, contact_facets=0, certified=n, floor=int(floor.sum()))
     need = ~floor
     need[corners] = False
@@ -691,7 +735,7 @@ def _exact_theta(cloud: np.ndarray, floor: np.ndarray, near):
         lo[rows] = np.where(r > 0.0, np.minimum(dual, a), 0.0)
         gap = np.where(r > 0.0, np.abs(a - dual), 0.0)
         p = -(slope + r[:, None] * cloud[rows, :d])
-        ok[rows] = ((_support_margin(cloud, d, rows, a, p) >= -1.0)
+        ok[rows] = ((_support_margin(cloud, d, rows, a, p, stats) >= -1.0)
                     & (gap <= _CERT_RTOL * np.maximum(1.0, a)))
         failed = int((~ok).sum())
         if not failed:
@@ -834,7 +878,7 @@ def decay_experiment(v: GridFunction, delta: float, levels: int,
     cloud, inside = _ball_cloud(v)
     _require_resolved(openings[-1], cloud, v.spacing, f" (delta={delta:g}, levels={levels})")
     stats = dict(hull_calls=0, hull_points=0, q0_raised=0, q0_rejected=0, lower_facets=0,
-                 undecided=0)
+                 undecided=0, cert_pairs=0)
     masks = _decay_masks(v.shape, inside, cloud, openings, stats)
     counts = np.array([(~on_hull).sum() * v.cell_measure for on_hull in masks])
 

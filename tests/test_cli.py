@@ -208,6 +208,7 @@ def test_counterexample_scan_rows(capsys):
     comments, rows = parse_csv(out)
     assert comments["condition_ok"] == "True"
     assert float(comments["alpha"]) == 3.0
+    assert float(comments["analytic_exponent"]) == 1.0 / 3.0
     assert float(comments["fit_exponent"]) > 0.0
     bounds = [float(r["lower_bound"]) for r in rows]
     assert [int(r["m"]) for r in rows] == list(range(3, 11))
@@ -345,7 +346,7 @@ def test_decay_normal_run(tmp_path, capsys):
     assert decay.pop("decay_lower_facets") > 0
     assert decay == dict(decay_hull_calls=6, decay_hull_points=6 * int(g.inside_mask().sum()),
                          decay_q0_raised=1, decay_q0_rejected=0,
-                         decay_undecided=793 + 5 * 777, decay_floor=4)
+                         decay_undecided=793 + 5 * 777, decay_cert_pairs=0, decay_floor=4)
     counts = [float(r["count_measure"]) for r in rows]
     assert all(b <= a + 1e-12 for a, b in zip(counts, counts[1:]))
 

@@ -446,9 +446,28 @@ def test_divergence_scan_of_one_m_has_no_fit():
     assert two.fit_exponent > 0.0
 
 
+def test_divergence_scan_analytic_exponent_is_the_limit_of_the_fit():
+    # criterion 10's scan: alpha = 3 and q = (alpha+2) eps - n = 0.5, so the
+    # bound grows like A R^(-1/3) - B; the straight log-log fit over m = 3..10
+    # reads 0.5664, and the local slope of the smooth-count bound (R^-n
+    # balls) falls to 1/3 as R shrinks
+    scan = h.divergence_scan(3, 2.0, 0.7, range(3, 11))
+    assert scan.analytic_exponent == 1.0 / 3.0
+    assert round(scan.fit_exponent, 4) == 0.5664
+
+    def smooth(m):
+        R = 2.0 ** -m
+        return ((1.0 - 4.0 * R) / (8.0 * math.sqrt(3.0) * R)) ** 3 \
+            * _per_ball_integral(h.RadialProfile(3, 3.0, R, 1.0, 2.0), 0.7)
+    slopes = [math.log2(smooth(m + 1) / smooth(m)) for m in (10, 20, 30, 40)]
+    assert all(b < a for a, b in zip(slopes, slopes[1:]))
+    assert 1.0 / 3.0 < slopes[-1] < 1.0 / 3.0 + 1e-4
+
+
 def test_divergence_scan_condition_failures():
     at_threshold = h.divergence_scan(3, 2.0, h.epsilon_upper(3, 2.0), [3, 4, 5])
     assert not at_threshold.condition_ok
+    assert math.isnan(at_threshold.analytic_exponent)
     assert len(at_threshold.lower_bounds) == 0
     assert at_threshold.note != ""
     unit = h.divergence_scan(3, 1.0, 0.99, [3, 4, 5])

@@ -1144,7 +1144,7 @@ def _masks_and_full(monkeypatch, g, openings, stats):
 
 def _decay_stats():
     return dict(hull_calls=0, hull_points=0, q0_raised=0, q0_rejected=0, lower_facets=0,
-                undecided=0)
+                undecided=0, cert_pairs=0)
 
 
 def test_decay_masks_equal_one_full_hull_per_opening(monkeypatch):
@@ -1223,7 +1223,8 @@ def test_neighbourhood_leaves_a_candidate_within_the_margin_undecided(monkeypatc
                 cloud[k, -1] += 1.0
             return ConvexHull(cloud, qhull_options=qhull_options)
         monkeypatch.setattr(lab, "ConvexHull", hull)
-        stats = dict(hull_calls=0, hull_points=0, q0_raised=0, lower_facets=0, undecided=0)
+        stats = dict(hull_calls=0, hull_points=0, q0_raised=0, lower_facets=0, undecided=0,
+                     cert_pairs=0)
         got = lab._neighbourhood_contact(np.column_stack([x, lifted, 0.5 * x ** 2]), 0.0,
                                          np.array([k]), np.ones(len(x), bool), stats)
         assert (got if got is None else got.tolist()) == want, offset
@@ -1240,7 +1241,8 @@ def test_neighbourhood_leaves_a_vertex_within_the_margin_undecided():
         lifted = x[:, 0] ** 2 + 1.0
         lifted[k] = 0.5 * (lifted[k - 1] + lifted[k + 1]) + offset
         assert k in ConvexHull(np.column_stack([x, lifted]), qhull_options="Q0").vertices
-        stats = dict(hull_calls=0, hull_points=0, q0_raised=0, lower_facets=0, undecided=0)
+        stats = dict(hull_calls=0, hull_points=0, q0_raised=0, lower_facets=0, undecided=0,
+                     cert_pairs=0)
         got = lab._neighbourhood_contact(np.column_stack([x, lifted, 0.5 * x ** 2]), 0.0,
                                          np.array([k]), np.ones(len(x), bool), stats)
         assert (got if got is None else got.tolist()) == want, offset
@@ -1301,8 +1303,120 @@ def test_support_margin_leaves_out_the_sample_itself():
     cloud = np.column_stack([pts, g.values.ravel()[inside], 0.5 * (pts ** 2).sum(axis=1)])
     rows = np.arange(len(pts))
     for a in (0.0, 1.0):
-        margin = lab._support_margin(cloud, 2, rows, np.full(len(rows), a), 2.0 * pts)
+        margin = lab._support_margin(cloud, 2, rows, np.full(len(rows), a), 2.0 * pts,
+                                     dict(cert_pairs=0))
         assert (margin > 1.0).all(), a
+
+
+def _certificate_calls(monkeypatch, run):
+    # the (cloud, d, rows, a, p) of every _support_margin call that run() makes
+    calls, margin = [], lab._support_margin
+
+    def recorded(cloud, d, rows, a, p, stats):
+        calls.append((cloud, d, rows.copy(), a.copy(), p.copy()))
+        return margin(cloud, d, rows, a, p, stats)
+    with monkeypatch.context() as patch:
+        patch.setattr(lab, "_support_margin", recorded)
+        run()
+    return calls
+
+
+def _full_margin(cloud, d, rows, a, p):
+    # every row's least slack over all the other samples, from the whole
+    # K @ cols row (64 rows a product), in units of 1e-12 of its scale
+    points, values, q = cloud[:, :d], cloud[:, d], cloud[:, d + 1]
+    x = points[rows]
+    K = np.column_stack([np.ones(len(rows)), a, -(a[:, None] * x + p),
+                         -values[rows] + a * q[rows] + (p * x).sum(axis=1)])
+    cols = np.vstack([values, q, points.T, np.ones(len(cloud))])
+    least = np.empty(len(rows))
+    for s in range(0, len(rows), 64):
+        slack = K[s:s + 64] @ cols
+        slack[np.arange(len(slack)), rows[s:s + 64]] = np.inf
+        least[s:s + 64] = slack.min(axis=1)
+    scale = np.abs(K) @ np.abs(cols).max(axis=1) + np.abs(p).sum(axis=1) * np.abs(points).max()
+    return least / (1e-12 * scale)
+
+
+def test_support_margin_equals_the_full_product_where_it_decides(monkeypatch, bump_grid):
+    # each row reads only the samples of its x_0 slab: a margin at or below 1
+    # is the full product's bit for bit, and the verdicts at > 1 (decay) and
+    # >= -1 (Theta) are the same everywhere; rows with a = 0 read every sample.
+    # On the 129^2 bump decay's slabs hold under a third of the pairs
+    lattice = h.build_v(h.RadialProfile(3, 3.0, 0.125, 1.0, 2.0),
+                        h.grid_from_callable(lambda p: np.zeros(len(p)), 2, 65))
+    bump3 = h.capped_bump(h.RadialProfile(3, 3.0, 0.35, 1.0, 2.0), 17, centre=(0.0, 0.0, 0.0))
+    e = h.Ellipticity(3, 2.0, 1)
+    runs = {"decay bump129": lambda: h.decay_experiment(bump_grid, 1.0, 6, e),
+            "theta bump129": lambda: h.theta_field(bump_grid, 600.0),
+            "theta build_v 65": lambda: h.theta_field(lattice, 600.0),
+            "theta bump 17^3": lambda: h.theta_field(bump3, 600.0),
+            "decay bump 17^3": lambda: _decay_or_partial(bump3, 6),
+            "theta ridge 1-d": lambda: h.theta_field(ridge_1d(), 600.0),
+            "decay ridge 1-d": lambda: _decay_or_partial(ridge_1d(), 6)}
+    cases = {name: _certificate_calls(monkeypatch, run) for name, run in runs.items()}
+    assert all(cases.values())
+    flat = []
+    for cloud, d, rows, a, p in cases["decay bump129"][:1] + cases["theta ridge 1-d"]:
+        a = a.copy()
+        a[::3] = 0.0
+        flat.append((cloud, d, rows, a, p))
+    cases["a = 0 on every third row"] = flat
+    decided, pairs, all_pairs = 0, 0, 0     # pairs: decay's on the 129^2 bump
+    for name, calls in cases.items():
+        for cloud, d, rows, a, p in calls:
+            stats = dict(cert_pairs=0)
+            got = lab._support_margin(cloud, d, rows, a, p, stats)
+            full = _full_margin(cloud, d, rows, a, p)
+            low = full <= 1.0
+            assert np.array_equal(got[low], full[low]), name
+            assert np.array_equal(got > 1.0, full > 1.0), name
+            assert np.array_equal(got >= -1.0, full >= -1.0), name
+            assert len(rows) <= stats["cert_pairs"] <= len(rows) * len(cloud), name
+            if name.startswith("a = 0"):
+                assert stats["cert_pairs"] >= len(cloud) * (a == 0.0).sum(), name
+            decided += int(low.sum())
+            if name == "decay bump129":
+                pairs += stats["cert_pairs"]
+                all_pairs += len(rows) * len(cloud)
+    assert decided > 0 and pairs < all_pairs / 3
+
+
+def test_support_margin_reach_comes_from_the_clouds_minimum(monkeypatch, bump_grid):
+    # a sample far outside a certified row's slab, lowered below that row's
+    # paraboloid, lowers the cloud's minimum and so widens the slab: the row fails
+    e = h.Ellipticity(3, 2.0, 1)
+    cloud, d, rows, a, p = _certificate_calls(
+        monkeypatch, lambda: h.decay_experiment(bump_grid, 1.0, 6, e))[0]
+    assert (lab._support_margin(cloud, d, rows, a, p, dict(cert_pairs=0)) > 1.0).all()
+    k = len(rows) // 2
+    i = rows[k]
+    centre = cloud[i, 0] + p[k, 0] / a[k]
+    vmin = cloud[:, d].min()
+    reach = np.sqrt(((p[k] / a[k]) ** 2).sum() + 2.0 * (cloud[i, d] - vmin) / a[k])
+    j = int(np.abs(cloud[:, 0] - centre).argmax())
+    assert abs(cloud[j, 0] - centre) > 2.0 * reach
+    dx = cloud[j, :d] - cloud[i, :d]
+    broken = cloud.copy()
+    broken[j, d] = cloud[i, d] + p[k] @ dx - 0.5 * a[k] * (dx @ dx) - 1.0
+    assert broken[j, d] < vmin
+    margin = lab._support_margin(broken, d, rows, a, p, dict(cert_pairs=0))
+    assert margin[k] < -1.0
+
+
+@pytest.mark.parametrize("grid", [
+    ridge_1d(33), ridge_2d(17),
+    h.capped_bump(h.RadialProfile(3, 3.0, 0.35, 1.0, 2.0), 9, centre=(0.0, 0.0, 0.0)),
+    h.GridFunction(dim=2, shape=(11, 14), spacing=0.25, center=(0.3, -1.7), domain_radius=1.4,
+                   values=np.zeros((11, 14)))], ids=["1-d", "2-d", "3-d", "off-centre"])
+def test_ball_cloud_rows_are_in_flat_grid_order(grid):
+    # the certificate's slabs rest on x_0 being nondecreasing along the rows
+    cloud, inside = lab._ball_cloud(grid)
+    d, shape = grid.dim, np.array(grid.shape)
+    index = np.rint(cloud[:, :d] / grid.spacing + (shape - 1) / 2.0).astype(int)
+    flat = np.ravel_multi_index(tuple(index.T), grid.shape)
+    assert np.array_equal(flat, np.flatnonzero(inside))
+    assert (np.diff(cloud[:, 0]) >= 0.0).all() and len(cloud) > 1
 
 
 def test_dilated_marks_the_cells_two_steps_away_along_every_axis():
@@ -1353,7 +1467,7 @@ def test_decay_partial_report_sums_the_counters():
     n = int(inside.sum())
     want = dict(hull_calls=0, hull_points=0, q0_raised=0, q0_rejected=0, lower_facets=0)
     lab._contact(cloud, 1.0, want)
-    want |= {"undecided": n - 1, "floor": 1}
+    want |= {"undecided": n - 1, "cert_pairs": 0, "floor": 1}
     with pytest.raises(h.DegenerateData) as exc:
         h.decay_experiment(g, 1.0, 5, h.Ellipticity(2, 2.0, 1))
     assert exc.value.report.stats == want and want["hull_calls"] == 1
